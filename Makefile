@@ -3,6 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-all bench bench-smoke bench-full bench-check \
+        bench-layers-smoke \
         pipeline-smoke trace-smoke serve-smoke analyze-smoke tune-smoke \
         stream-smoke fleet-smoke fleet-trace-overhead report figures \
         examples clean
@@ -24,7 +25,7 @@ test-all:        ## everything, including the 1M-element slow tests
 bench:           ## regenerate every figure/table + time the kernels (1M scale)
 	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-smoke:     ## one regular + one irregular benchmark, all three backend tiers (per-tier rows in BENCH_*.json)
+bench-smoke:     ## one regular + one irregular benchmark, both backend tiers (per-tier rows in BENCH_*.json)
 	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m pytest \
 	  benchmarks/bench_fig08_padding.py \
 	  benchmarks/bench_fig13_compaction.py --benchmark-only
@@ -35,6 +36,9 @@ bench-full:      ## same, at the paper's 16M / 12000x11999 sizes
 
 bench-check:     ## compare fresh runs against committed BENCH_*.json baselines
 	$(PYTHON) -m repro.obs.regress benchmarks/results
+
+bench-layers-smoke: ## layer-cost benchmark self-test: every workload once, schema + compare checks
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/layers -q
 
 pipeline-smoke:  ## fused launch count + plan-cache hit, both backends
 	$(PYTHON) -m pytest benchmarks/bench_pipeline_fusion.py \

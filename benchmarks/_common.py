@@ -44,10 +44,9 @@ ROUNDS = dict(rounds=3, iterations=1, warmup_rounds=0)
 
 
 def compare_backends(bench_id: str, run, *, min_speedup: float = None,
-                     min_compiled_speedup: float = None,
                      meta: dict = None) -> dict:
-    """Time ``run(backend)`` under all three execution backends and
-    persist the report.
+    """Time ``run(backend)`` under both execution backends and persist
+    the report.
 
     The measurement, parity assertions and report shape live in
     :func:`repro.obs.benchrun.compare_backends` (shared with the
@@ -55,27 +54,20 @@ def compare_backends(bench_id: str, run, *, min_speedup: float = None,
     report to ``benchmarks/results/BENCH_<bench_id>.json`` — the
     committed baseline the gate compares fresh runs against, including
     the full per-launch counter records — and prints the one-line
-    summary (per tier, with JIT warmup reported separately from the
-    post-warmup kernel wall clock).
+    summary.
     """
     report = _compare_backends(bench_id, run, min_speedup=min_speedup,
-                               min_compiled_speedup=min_compiled_speedup,
                                meta=meta)
     t_sim = report["wall_clock_s"]["simulated"]
     t_vec = report["wall_clock_s"]["vectorized"]
-    t_comp = report["wall_clock_s"]["compiled"]
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{bench_id}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     # The trajectory keeps what the snapshot overwrites: one row per
     # tier per run, tagged with the git rev the Makefile injects.
     append_rows(RESULTS_DIR, rows_from_report(report))
-    comp_note = ("fallback->vectorized" if report["compiled_fallback"]
-                 else f"{report['speedup_compiled']:.1f}x over vectorized")
     print(f"\n[{bench_id}] simulated {t_sim:.2f}s vs vectorized "
-          f"{t_vec:.4f}s -> {report['speedup']:.0f}x; compiled "
-          f"{t_comp:.4f}s ({comp_note}, warmup "
-          f"{report['warmup_s']:.3f}s) ({path})")
+          f"{t_vec:.4f}s -> {report['speedup']:.0f}x ({path})")
     return report
 
 

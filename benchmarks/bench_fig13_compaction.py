@@ -28,9 +28,6 @@ def test_fig13_compaction(benchmark):
         lambda backend: ds_stream_compact(
             values, 0.0, config=DSConfig(seed=8, backend=backend)),
         min_speedup=5.0,
-        # The compiled-tier floor (only asserted when Numba genuinely
-        # JIT-compiles — never in the no-Numba or pure-Python legs).
-        min_compiled_speedup=5.0,
         meta={"elements": BENCH_ELEMENTS, "primitive": "ds_stream_compact"},
     )
 

@@ -123,28 +123,22 @@ def fig06_sweep(ctx: ReportContext) -> Section:
 
 
 def fig13_backend_ladder(ctx: ReportContext) -> Section:
-    """Measured wall-clock ladder simulated → vectorized → compiled for
-    the canonical cases, from the BENCH snapshots."""
+    """Measured wall-clock ladder simulated → vectorized for the
+    canonical cases, from the BENCH snapshots."""
     bench = ctx.bench_reports()
     if not bench:
         return _empty("fig13_backend_ladder",
                       "Backend ladder (measured)",
                       "no BENCH_*.json snapshots", "make bench-smoke")
-    rows = [["case", "simulated", "vectorized", "speedup",
-             "compiled", "vs vectorized", "timing"]]
+    rows = [["case", "simulated", "vectorized", "speedup", "timing"]]
     for bench_id in sorted(bench):
         rep = bench[bench_id]
         wall = rep.get("wall_clock_s", {})
-        comp_note = ("fallback" if rep.get("compiled_fallback")
-                     else f"{rep.get('speedup_compiled', 0.0):.2f}x")
         rows.append([
             bench_id,
             f"{wall.get('simulated', 0.0):.3f}s",
             f"{wall.get('vectorized', 0.0):.4f}s",
             f"{rep.get('speedup', 0.0):.1f}x",
-            f"{wall.get('compiled', 0.0):.4f}s" if "compiled" in wall
-            else "-",
-            comp_note,
             rep.get("timing", "best"),
         ])
     return Section("fig13_backend_ladder", "Backend ladder (measured)",

@@ -11,9 +11,6 @@ surface and a ``backend`` switch:
 * ``backend="vectorized"`` forces the tile-granularity fast path —
   identical outputs and traffic counters at a fraction of the wall
   clock (see ``docs/simulator.md`` for the equivalence contract);
-* ``backend="compiled"`` forces the Numba JIT tier — same outputs and
-  counters again, degrading to ``"vectorized"`` when Numba is unusable
-  (see ``docs/backends.md``);
 * ``backend="numpy"`` executes the reference semantics directly —
   bit-identical results at native NumPy speed, with no launch records.
 
@@ -60,6 +57,7 @@ from repro.reference import (
 )
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
+from repro.simgpu.vectorized import REMOVED_BACKENDS, REMOVED_NOTE
 
 __all__ = ["pad", "unpad", "remove_if", "copy_if", "compact", "unique", "partition"]
 
@@ -67,7 +65,7 @@ StreamLike = Optional[Union[Stream, DeviceSpec, str]]
 
 
 _DS_BACKENDS = {"sim": None, "simulated": "simulated",
-                "vectorized": "vectorized", "compiled": "compiled"}
+                "vectorized": "vectorized"}
 
 
 def _normalize_backend(backend: str):
@@ -80,9 +78,11 @@ def _normalize_backend(backend: str):
         return True, None
     if backend in _DS_BACKENDS:
         return False, _DS_BACKENDS[backend]
+    note = (f"; {REMOVED_NOTE}"
+            if str(backend).lower() in REMOVED_BACKENDS else "")
     raise ReproError(
-        f"backend must be one of 'sim', 'simulated', 'vectorized', "
-        f"'compiled' or 'numpy', got {backend!r}")
+        f"backend must be one of 'sim', 'simulated', 'vectorized' or "
+        f"'numpy', got {backend!r}{note}")
 
 
 _TUNING_FIELDS = tuple(f.name for f in _dataclass_fields(DSConfig))

@@ -24,8 +24,8 @@ Each tile's flag is a tiny state machine:
 Three faces of the same algorithm live in this module:
 
 * :func:`decoupled_lookback_scan` — device-level exclusive scan of an
-  arbitrary integer vector, used by the compiled backend and the
-  single-pass Thrust-baseline variant;
+  arbitrary integer vector, the whole-array reference the tests hold
+  the stepwise simulator to;
 * :func:`lookback_exclusive_scan` — the work-group *binary* scan with
   the ``(scan, rounds)`` signature of the other ``SCAN_VARIANTS``, so
   ``scan_variant="lookback"`` plugs into every irregular kernel;

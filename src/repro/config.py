@@ -109,10 +109,8 @@ class DSConfig:
         Arm the read-before-overwrite tracker (forces the simulated
         backend; supported by the in-place primitives).
     backend:
-        ``"simulated"``, ``"vectorized"``, ``"compiled"`` (Numba JIT,
-        degrading to ``"vectorized"`` when Numba is unusable), or
-        ``None`` to defer to the ``REPRO_BACKEND`` environment
-        variable at call time.
+        ``"simulated"``, ``"vectorized"``, or ``None`` to defer to the
+        ``REPRO_BACKEND`` environment variable at call time.
     seed:
         Base scheduling seed for streams the primitive creates itself.
     shard_elems:

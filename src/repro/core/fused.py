@@ -433,22 +433,11 @@ def run_fused_irregular(
     carry_valid = Buffer(
         np.zeros(geometry.n_workgroups + 1, dtype=np.int64), "fuse_carry_valid")
     kernel_name = chain_kernel_name(stages)
-    resolved = resolve_backend(backend)
-    counters = None
-    if resolved == "compiled":
-        from repro.compiled.runner import compiled_fused_launch
-
-        counters = compiled_fused_launch(
-            array, stages, carry, carry_valid, flags, counter, geometry, n,
-            stream, kernel_name)
-        if counters is None:
-            # Chain didn't lower (opaque predicate): per-launch fallback.
-            resolved = "vectorized"
-    if counters is None and resolved == "vectorized":
+    if resolve_backend(backend) == "vectorized":
         counters = _vectorized_fused_launch(
             array, stages, carry, carry_valid, flags, counter, geometry, n,
             stream, kernel_name)
-    elif counters is None:
+    else:
         counters = stream.launch(
             fused_irregular_kernel,
             grid_size=geometry.n_workgroups,

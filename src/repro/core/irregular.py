@@ -257,27 +257,14 @@ def run_irregular_ds(
     resolved = resolve_backend(backend)
     if race_tracking or not sync or id_allocation != "dynamic":
         resolved = "simulated"
-    counters = None
-    if resolved == "compiled":
-        from repro.compiled.runner import compiled_irregular_launch
-
-        counters = compiled_irregular_launch(
-            array, destination, flags, counter, predicate, geometry, n, stream,
-            false_out=false_out,
-            stencil_unique=stencil_unique,
-            kernel_name=kernel_name,
-        )
-        if counters is None:
-            # Chain didn't lower (opaque predicate): per-launch fallback.
-            resolved = "vectorized"
-    if counters is None and resolved == "vectorized":
+    if resolved == "vectorized":
         counters = vectorized_irregular_launch(
             array, destination, flags, counter, predicate, geometry, n, stream,
             false_out=false_out,
             stencil_unique=stencil_unique,
             kernel_name=kernel_name,
         )
-    elif counters is None:
+    else:
         if race_tracking:
             array.arm_race_tracking()
         try:

@@ -179,9 +179,7 @@ def run_keyed_irregular_ds(
     resolved = resolve_backend(backend)
     if race_tracking:
         resolved = "simulated"
-    if resolved in ("vectorized", "compiled"):
-        # Keyed slides move multiple buffers per element; the compiled
-        # tier shares the whole-array fast path (see regular.py).
+    if resolved == "vectorized":
         counters = vectorized_keyed_launch(
             keys, list(payloads), flags, counter, predicate, geometry, n,
             stream, stencil_unique=stencil_unique, kernel_name=kernel_name,

@@ -128,7 +128,7 @@ def from_name(name: str) -> Optional[Predicate]:
     original before anything leaves the process — a hand-built
     :class:`Predicate` whose name lies cannot corrupt results, it is
     rejected at submit).  Returns ``None`` for any name this vocabulary
-    does not cover, mirroring :func:`repro.compiled.lowering._parse_name`.
+    does not cover.
     """
     inner = str(name).strip()
     negate = False

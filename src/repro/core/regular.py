@@ -183,10 +183,7 @@ def run_regular_ds(
     resolved = resolve_backend(backend)
     if race_tracking or not sync or id_allocation != "dynamic":
         resolved = "simulated"
-    if resolved in ("vectorized", "compiled"):
-        # The regular remaps are pure index arithmetic — the whole-array
-        # fast path already runs at memory speed, so the compiled tier
-        # shares it rather than JIT-compiling a second copy.
+    if resolved == "vectorized":
         counters = vectorized_regular_launch(
             array, flags, counter, remap, geometry, stream
         )

@@ -549,7 +549,7 @@ class Fleet:
             }
 
     def prime(self, ops, values) -> str:
-        """Pre-warm the worker the shape routes to (plan cache + JIT);
+        """Pre-warm the worker the shape routes to (plan cache);
         returns that worker's id."""
         frozen = freeze_ops(ops)
         source = as_source(values, site="Fleet.prime")

@@ -49,7 +49,7 @@ from repro.errors import ServeError
 from repro.fleet.config import FleetConfig
 from repro.fleet.fleet import Fleet
 from repro.serve.config import ServeConfig
-from repro.serve.loadgen import SHAPES, ShapeSpec, make_shape
+from repro.serve.loadgen import SHAPES, ShapeSpec, _percentile, make_shape
 
 __all__ = ["FleetLoadReport", "run_fleet_load", "run_fleet_check",
            "check_fleet_report"]
@@ -140,14 +140,6 @@ class FleetLoadReport:
         if self.errors:
             lines.append(f"  first errors: {self.errors[:3]}")
         return "\n".join(lines)
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1,
-              int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[idx]
 
 
 def _traffic(shapes: List[str], sizes: List[int],

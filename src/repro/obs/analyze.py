@@ -504,20 +504,10 @@ def analyze(loaded: Union[str, Path, dict]) -> dict:
         launches = [sp for sp in proc.spans if sp.cat == "launch"
                     and (not host_tids or sp.tid in host_tids)]
         launches.sort(key=lambda sp: sp.ts)
-        # JIT compilation/warmup spans (cat="compile") are emitted by the
-        # compiled backend *outside* any launch span, so their cost is
-        # attributed here as a distinct phase rather than inflating the
-        # first launch's wall.
-        compiles = sorted((sp for sp in proc.spans if sp.cat == "compile"),
-                          key=lambda sp: sp.ts)
         processes.append({
             "name": proc.name,
             "n_spans": len(proc.spans),
             "launches": [_analyze_launch(proc, sp) for sp in launches],
-            "compiles": [{"name": sp.name, "wall_us": sp.dur,
-                          "dtype": sp.args.get("dtype"),
-                          "mode": sp.args.get("mode")} for sp in compiles],
-            "compile_total_us": sum(sp.dur for sp in compiles),
             "requests": _analyze_requests(proc),
             "stream": _analyze_stream(proc),
         })
@@ -684,14 +674,6 @@ def render_text(report: dict) -> str:
                     f"{detail['wall_us']:.0f}us :: {stages}")
     for proc in report["processes"]:
         out.append(f"\nprocess {proc['name']} ({proc['n_spans']} spans)")
-        if proc.get("compiles"):
-            out.append(
-                f"  jit compile: {proc['compile_total_us']:.1f} us total "
-                f"across {len(proc['compiles'])} warmup(s)")
-            for comp in proc["compiles"]:
-                out.append(
-                    f"    {comp['name']} dtype={comp['dtype']} "
-                    f"mode={comp['mode']}: {comp['wall_us']:.1f} us")
         for launch in proc["launches"]:
             out.append(
                 f"  launch {launch['name']} "

@@ -149,9 +149,6 @@ def rows_from_report(report: dict, *, rev: Optional[str] = None,
         row.update(summary)
         if backend == "vectorized":
             row["speedup"] = report.get("speedup")
-        elif backend == "compiled":
-            row["speedup"] = report.get("speedup_compiled")
-            row["compiled_fallback"] = bool(report.get("compiled_fallback"))
         rows.append(row)
     return rows
 

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.config import DSConfig
-from repro.simgpu.vectorized import numba_available, pure_python_compiled
 
 __all__ = ["PARITY_FIELDS", "BenchCase", "CASES", "compare_backends",
            "bench_case"]
@@ -49,14 +48,13 @@ def compare_backends(
     run: Callable,
     *,
     min_speedup: Optional[float] = None,
-    min_compiled_speedup: Optional[float] = None,
     meta: Optional[dict] = None,
     rounds: int = 3,
 ) -> dict:
     """Time ``run(backend=...)`` under both execution backends.
 
-    ``run`` must accept ``backend`` (``"simulated"``, ``"vectorized"``
-    or ``"compiled"``) and return a
+    ``run`` must accept ``backend`` (``"simulated"`` or
+    ``"vectorized"``) and return a
     :class:`~repro.primitives.common.PrimitiveResult`.  Outputs and the
     deterministic counter fields are asserted identical; the returned
     report carries wall-clock (the **median** of ``rounds`` timed runs
@@ -66,25 +64,14 @@ def compare_backends(
     verdict and the full counter records.  The raw samples are kept
     under ``wall_clock_samples`` and the estimator is named by
     ``timing``.  ``min_speedup``, when given, is asserted.
-
-    The compiled tier is always timed (it degrades to the vectorized
-    fast path when Numba is unusable, so the row exists either way);
-    the report marks the degraded case with ``compiled_fallback`` and
-    JIT compilation is paid in the untimed warmup round, recorded
-    separately as ``warmup_s`` — post-warmup wall clock is what
-    ``speedup_compiled`` measures.  ``min_compiled_speedup`` is
-    asserted only when the tier genuinely JIT-compiles (never in the
-    no-Numba CI leg).
     """
     def median_of(backend):
         # One untimed warmup round first: a cold process pays one-time
-        # costs (imports, allocator, caches — and JIT compilation for
-        # the compiled tier) that the median must not sample, or a
-        # fresh bench-check process would never match a warm baseline
-        # writer.  Steady state is what the estimator estimates.
-        t0 = time.perf_counter()
+        # costs (imports, allocator, caches) that the median must not
+        # sample, or a fresh bench-check process would never match a
+        # warm baseline writer.  Steady state is what the estimator
+        # estimates.
         run(backend=backend)
-        warmup = time.perf_counter() - t0
         walls = []
         result = None
         for _ in range(max(1, rounds)):
@@ -95,42 +82,29 @@ def compare_backends(
         # Lower median: exact middle for odd counts, and for rounds=2
         # it degenerates to the old best-of-2 rather than averaging in
         # the (possibly still settling) slower sample.
-        return result, walls[(len(walls) - 1) // 2], walls, warmup
+        return result, walls[(len(walls) - 1) // 2], walls
 
-    sim, t_sim, samples_sim, _ = median_of("simulated")
-    vec, t_vec, samples_vec, _ = median_of("vectorized")
-    comp, t_comp, samples_comp, warmup_s = median_of("compiled")
-    jit_active = numba_available() and not pure_python_compiled()
+    sim, t_sim, samples_sim = median_of("simulated")
+    vec, t_vec, samples_vec = median_of("vectorized")
 
-    def assert_parity(other, other_name):
-        assert np.array_equal(np.asarray(sim.output),
-                              np.asarray(other.output)), \
-            f"{bench_id}: {other_name} backend output differs"
-        assert other.num_launches == sim.num_launches
-        for cs, co in zip(sim.counters, other.counters):
-            for field in PARITY_FIELDS:
-                assert getattr(co, field) == getattr(cs, field), (
-                    f"{bench_id}: counter {field} differs between backends "
-                    f"(simulated={getattr(cs, field)}, "
-                    f"{other_name}={getattr(co, field)})")
-
-    assert_parity(vec, "vectorized")
-    assert_parity(comp, "compiled")
+    assert np.array_equal(np.asarray(sim.output), np.asarray(vec.output)), \
+        f"{bench_id}: vectorized backend output differs"
+    assert vec.num_launches == sim.num_launches
+    for cs, cv in zip(sim.counters, vec.counters):
+        for field in PARITY_FIELDS:
+            assert getattr(cv, field) == getattr(cs, field), (
+                f"{bench_id}: counter {field} differs between backends "
+                f"(simulated={getattr(cs, field)}, "
+                f"vectorized={getattr(cv, field)})")
 
     speedup = t_sim / t_vec if t_vec > 0 else float("inf")
-    speedup_compiled = t_vec / t_comp if t_comp > 0 else float("inf")
     report = {
         "id": bench_id,
-        "wall_clock_s": {"simulated": t_sim, "vectorized": t_vec,
-                         "compiled": t_comp},
+        "wall_clock_s": {"simulated": t_sim, "vectorized": t_vec},
         "wall_clock_samples": {"simulated": samples_sim,
-                               "vectorized": samples_vec,
-                               "compiled": samples_comp},
+                               "vectorized": samples_vec},
         "timing": "median",
-        "warmup_s": warmup_s,
         "speedup": speedup,
-        "speedup_compiled": speedup_compiled,
-        "compiled_fallback": not jit_active,
         "parity": {"fields": list(PARITY_FIELDS), "ok": True,
                    "launches": sim.num_launches},
         "counters": [c.to_dict() for c in sim.counters],
@@ -141,10 +115,6 @@ def compare_backends(
         assert speedup >= min_speedup, (
             f"{bench_id}: vectorized speedup {speedup:.1f}x below the "
             f"{min_speedup}x floor")
-    if min_compiled_speedup is not None and jit_active:
-        assert speedup_compiled >= min_compiled_speedup, (
-            f"{bench_id}: compiled speedup {speedup_compiled:.1f}x over "
-            f"vectorized is below the {min_compiled_speedup}x floor")
     return report
 
 
@@ -193,13 +163,11 @@ CASES = {
 
 
 def bench_case(bench_id: str, *, scale: float = 1.0, rounds: int = 2,
-               min_speedup: Optional[float] = None,
-               min_compiled_speedup: Optional[float] = None) -> dict:
+               min_speedup: Optional[float] = None) -> dict:
     """Run one canonical case end to end and return its report."""
     if bench_id not in CASES:
         raise KeyError(
             f"unknown bench case {bench_id!r}; known: {sorted(CASES)}")
     run, meta = CASES[bench_id](scale)
     return compare_backends(bench_id, run, meta=meta, rounds=rounds,
-                            min_speedup=min_speedup,
-                            min_compiled_speedup=min_compiled_speedup)
+                            min_speedup=min_speedup)

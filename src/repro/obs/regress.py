@@ -36,6 +36,7 @@ from typing import List, Optional
 
 from repro.obs.benchrun import CASES, PARITY_FIELDS, bench_case
 from repro.simgpu.counters import LaunchCounters
+from repro.simgpu.vectorized import BACKENDS
 
 __all__ = ["TOLERANCE_ENV_VAR", "DEFAULT_TOLERANCE", "check_case",
            "check_all", "main"]
@@ -71,20 +72,10 @@ def check_case(
         fresh = bench_case(bench_id, rounds=rounds)
     failures: List[str] = []
 
-    for backend in ("simulated", "vectorized", "compiled"):
+    # Only the live tiers are gated: keys a legacy baseline carries for
+    # a removed tier are ignored.
+    for backend in BACKENDS:
         base_t = baseline.get("wall_clock_s", {}).get(backend)
-        if backend == "compiled":
-            # Pre-compiled-tier baselines have no row; and a baseline
-            # recorded with Numba is not wall-clock-comparable against a
-            # fresh run degrading to vectorized (or vice versa) — parity
-            # is still checked below, only the timing gate is skipped.
-            if base_t is None:
-                continue
-            if bool(baseline.get("compiled_fallback")) != \
-                    bool(fresh.get("compiled_fallback")):
-                print(f"[bench-check] {bench_id}/compiled: JIT availability "
-                      "changed since the baseline; timing gate skipped")
-                continue
         fresh_t = fresh["wall_clock_s"][backend] * (1.0 + inject_slowdown)
         if base_t is None:
             failures.append(

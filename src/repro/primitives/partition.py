@@ -75,7 +75,7 @@ def _run_partition(
             n_true, n_false = result.n_true, result.n_false
             if n_false:
                 cf = result.geometry.coarsening
-                if resolve_backend(config.backend) in ("vectorized", "compiled"):
+                if resolve_backend(config.backend) == "vectorized":
                     copy_counters = vectorized_copy_launch(
                         aux, buf, n_false, 0, n_true, config.wg_size, cf,
                         stream, kernel_name="partition_copy_back",

@@ -580,10 +580,6 @@ class Server:
         ``1..max_batch_size`` a stream of identical requests can
         produce, so a fresh server starts at a ~100% plan-cache hit
         rate instead of paying one planning miss per batch shape.
-        When the configured backend resolves to the compiled tier, the
-        JIT kernel for the request's element dtype is warmed too
-        (``repro.compiled.warmup``), so the first served batch never
-        pays a compile stall.
 
         With ``tuned=True`` (and a ``tuning_db``) the shape is first
         resolved against the tuning DB: persisted kernel knobs replace
@@ -624,10 +620,6 @@ class Server:
             backend = cfg.resolved_backend()
             self._note_warm(make_batch_key(stages, array, cfg, backend),
                             stages, array, cfg, backend)
-        if cfg.resolved_backend() == "compiled":
-            from repro.compiled import warmup
-
-            warmup([array.dtype])
         for k in range(1, self.config.max_batch_size + 1):
             p = Pipeline(Stream(self.device, seed=self.config.seed),
                          config=cfg, fuse=fuse, plan_cache=self.plan_cache)

@@ -30,7 +30,6 @@ override) without import cycles.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -39,11 +38,6 @@ from repro.errors import LaunchError
 
 __all__ = [
     "resolve_backend",
-    "compiled_available",
-    "numba_available",
-    "pure_python_compiled",
-    "fallback_count",
-    "reset_fallback_state",
     "BACKENDS",
     "contiguous_round_txns",
     "contiguous_range_txns",
@@ -52,108 +46,38 @@ __all__ = [
     "fused_chain_accounting",
 ]
 
-BACKENDS = ("simulated", "vectorized", "compiled")
-"""The three execution tiers every DS primitive accepts."""
+BACKENDS = ("simulated", "vectorized")
+"""The two execution tiers every DS primitive accepts."""
 
 _ALIASES = {
     "simulated": "simulated",
     "sim": "simulated",
     "vectorized": "vectorized",
     "vec": "vectorized",
-    "compiled": "compiled",
-    "jit": "compiled",
-    "numba": "compiled",
 }
 
+REMOVED_BACKENDS = ("compiled", "jit", "numba")
+"""Spellings of the deleted compiled (Numba) tier, rejected with
+:data:`REMOVED_NOTE` rather than the generic unknown-backend message."""
+
+REMOVED_NOTE = ("the compiled (Numba) tier was removed; use 'vectorized', "
+                "the fast tier")
+
 ENV_VAR = "REPRO_BACKEND"
-
-PURE_PYTHON_ENV_VAR = "REPRO_COMPILED_PYTHON"
-"""Set to 1 to run the compiled tier's kernels as plain Python loops —
-the test mode that exercises the lowering and kernel logic on machines
-without Numba (slow, but byte-identical)."""
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-# Fallback bookkeeping: compiled requested but unavailable.  The warning
-# fires once per process; the count (and the ``backend.fallback`` metric
-# when a tracer is active) tracks every fallback resolution.
-_fallback_warned = False
-_fallback_count = 0
-
-
-def numba_available() -> bool:
-    """True when Numba is importable and JIT is not disabled via
-    ``NUMBA_DISABLE_JIT``.  Import is attempted lazily — an absent or
-    broken Numba never raises here."""
-    raw = os.environ.get("NUMBA_DISABLE_JIT", "").strip()
-    if raw and raw != "0":
-        return False
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def pure_python_compiled() -> bool:
-    """True when ``REPRO_COMPILED_PYTHON`` forces the compiled tier's
-    kernels to run as plain Python (the no-Numba test mode)."""
-    return os.environ.get(PURE_PYTHON_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-def compiled_available() -> bool:
-    """True when ``backend="compiled"`` can actually execute — either
-    Numba is usable or the pure-Python test mode is forced."""
-    return pure_python_compiled() or numba_available()
-
-
-def _record_fallback() -> None:
-    global _fallback_warned, _fallback_count
-    _fallback_count += 1
-    if not _fallback_warned:
-        _fallback_warned = True
-        warnings.warn(
-            "backend='compiled' requested but Numba is not available "
-            "(not installed, or NUMBA_DISABLE_JIT is set); falling back "
-            "to the vectorized backend.  Install the 'numba' extra "
-            "(pip install repro-ds[numba]) for the JIT tier.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    try:  # lazy: repro.obs must stay importable without this module
-        from repro import obs as _obs
-    except Exception:  # pragma: no cover - defensive
-        return
-    tracer = _obs.active()
-    if tracer is not None:
-        tracer.metrics.counter("backend.fallback").inc()
-
-
-def fallback_count() -> int:
-    """Number of compiled→vectorized fallback resolutions so far."""
-    return _fallback_count
-
-
-def reset_fallback_state() -> None:
-    """Reset the warn-once flag and count (test isolation hook)."""
-    global _fallback_warned, _fallback_count
-    _fallback_warned = False
-    _fallback_count = 0
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a ``backend=`` argument to one of :data:`BACKENDS`.
 
     ``None`` defers to the ``REPRO_BACKEND`` environment variable and
-    falls back to ``"simulated"``.  ``"sim"``, ``"vec"``, ``"jit"`` and
-    ``"numba"`` are accepted as shorthand.  ``"compiled"`` degrades to
-    ``"vectorized"`` (one warning per process, ``backend.fallback``
-    metric) when Numba is unusable, so requesting the JIT tier is always
-    safe.  Unknown spellings raise :class:`~repro.errors.LaunchError`
-    when passed explicitly and :class:`ValueError` naming
-    ``REPRO_BACKEND`` when they came from the environment.  Callers
-    apply their own forcing rules on top (race tracking and
-    fault-injection hooks require the event-level simulator).
+    falls back to ``"simulated"``.  ``"sim"`` and ``"vec"`` are accepted
+    as shorthand.  Unknown spellings — including ``"compiled"``,
+    ``"jit"`` and ``"numba"``, the removed Numba tier — raise
+    :class:`~repro.errors.LaunchError` when passed explicitly and
+    :class:`ValueError` naming ``REPRO_BACKEND`` when they came from the
+    environment.  Callers apply their own forcing rules on top (race
+    tracking and fault-injection hooks require the event-level
+    simulator).
     """
     from_env = False
     if backend is None:
@@ -164,17 +88,13 @@ def resolve_backend(backend: Optional[str] = None) -> str:
             backend = "simulated"
     resolved = _ALIASES.get(str(backend).lower())
     if resolved is None:
-        detail = (
-            f"expected one of {BACKENDS} (or the "
-            f"'sim'/'vec'/'jit'/'numba' shorthands)"
-        )
+        detail = f"expected one of {BACKENDS} (or the 'sim'/'vec' shorthands)"
+        if str(backend).lower() in REMOVED_BACKENDS:
+            detail = REMOVED_NOTE
         if from_env:
             raise ValueError(
                 f"{ENV_VAR}={backend!r}: unknown backend; {detail}")
         raise LaunchError(f"unknown backend {backend!r}; {detail}")
-    if resolved == "compiled" and not compiled_available():
-        _record_fallback()
-        return "vectorized"
     return resolved
 
 
@@ -268,7 +188,7 @@ def round_kept_counts(keep: np.ndarray, wg_size: int) -> np.ndarray:
 
 def fused_chain_accounting(
     total: int,
-    keep: Optional[np.ndarray],
+    keep: np.ndarray,
     wg_size: int,
     grid: int,
     coarsening: int,
@@ -278,7 +198,6 @@ def fused_chain_accounting(
     valid_itemsize: int,
     transaction_bytes: int,
     count_transactions: bool,
-    round_kept: Optional[np.ndarray] = None,
 ) -> dict:
     """Closed-form counters of one fused irregular chain launch.
 
@@ -289,16 +208,10 @@ def fused_chain_accounting(
     single-element accesses per group, each touching one transaction
     segment.  ``keep`` is the final survivor mask; the structural facts
     this arithmetic relies on are the same schedule-invariant ones the
-    per-primitive fast paths use.  The compiled backend, whose kernel
-    tallies survivors per round natively instead of materializing a
-    mask, passes ``round_kept`` directly (``keep`` is then ignored).
+    per-primitive fast paths use.
     """
     n = int(total)
-    if round_kept is not None:
-        kt = np.asarray(round_kept, dtype=np.int64)
-    else:
-        keep = np.asarray(keep, dtype=bool)
-        kt = round_kept_counts(keep, wg_size)
+    kt = round_kept_counts(keep, wg_size)
     n_true = int(kt.sum())
     kept_before = np.cumsum(kt) - kt
     n_act = kt.size

@@ -61,7 +61,7 @@ def normalize_config(config, backend: Optional[str] = None):
 
     Pinning the backend *inside* the config (rather than leaving the
     ``None`` env-deferred spelling) keeps one key per executed tier;
-    the same workload tuned on ``vectorized`` and ``compiled`` gets two
+    the same workload tuned on ``simulated`` and ``vectorized`` gets two
     entries, which is the point — the sweet spot moves per tier.
     """
     from repro.config import DSConfig

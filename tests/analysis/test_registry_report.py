@@ -24,10 +24,8 @@ def empty_ctx(tmp_path):
 def full_ctx(tmp_path):
     (tmp_path / "BENCH_fig13.json").write_text(json.dumps({
         "id": "fig13", "timing": "median",
-        "wall_clock_s": {"simulated": 0.5, "vectorized": 0.01,
-                         "compiled": 0.009},
-        "speedup": 50.0, "speedup_compiled": 1.1,
-        "compiled_fallback": True, "counters": [],
+        "wall_clock_s": {"simulated": 0.5, "vectorized": 0.01},
+        "speedup": 50.0, "counters": [],
     }))
     append_rows(tmp_path, [
         {"id": "fig13", "backend": "vectorized", "wall_clock_s": 0.01,

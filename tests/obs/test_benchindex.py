@@ -15,11 +15,8 @@ from repro.obs.benchindex import (
 
 REPORT = {
     "id": "fig13",
-    "wall_clock_s": {"simulated": 0.5, "vectorized": 0.01,
-                     "compiled": 0.009},
+    "wall_clock_s": {"simulated": 0.5, "vectorized": 0.01},
     "speedup": 50.0,
-    "speedup_compiled": 1.1,
-    "compiled_fallback": True,
     "timing": "median",
     "counters": [{"bytes_loaded": 100, "bytes_stored": 60,
                   "n_atomics": 4, "n_barriers": 2},
@@ -31,16 +28,13 @@ REPORT = {
 class TestRows:
     def test_one_row_per_backend_with_summed_counters(self):
         rows = rows_from_report(REPORT, rev="abc1234", timestamp=1.0)
-        assert [r["backend"] for r in rows] == \
-            ["compiled", "simulated", "vectorized"]
+        assert [r["backend"] for r in rows] == ["simulated", "vectorized"]
         for row in rows:
             assert row["id"] == "fig13" and row["rev"] == "abc1234"
             assert row["timestamp"] == 1.0 and row["launches"] == 2
             assert row["bytes_loaded"] == 140 and row["n_atomics"] == 4
         by_backend = {r["backend"]: r for r in rows}
         assert by_backend["vectorized"]["speedup"] == 50.0
-        assert by_backend["compiled"]["speedup"] == 1.1
-        assert by_backend["compiled"]["compiled_fallback"] is True
         assert "speedup" not in by_backend["simulated"]
 
     def test_rev_falls_back_to_env(self, monkeypatch):
@@ -73,8 +67,8 @@ class TestAppendOnly:
         append_rows(tmp_path, rows_from_report(REPORT, rev="a", timestamp=1))
         append_rows(tmp_path, rows_from_report(REPORT, rev="b", timestamp=2))
         rows = load_rows(tmp_path / INDEX_NAME)
-        assert len(rows) == 6
-        assert [r["rev"] for r in rows] == ["a"] * 3 + ["b"] * 3
+        assert len(rows) == 4
+        assert [r["rev"] for r in rows] == ["a"] * 2 + ["b"] * 2
 
     def test_existing_rows_never_rewritten(self, tmp_path):
         append_rows(tmp_path, [{"id": "x", "backend": "serve"}])

@@ -14,7 +14,7 @@ import pytest
 
 from repro import api
 from repro.config import DSConfig
-from repro.core.predicates import Predicate, is_even, less_than
+from repro.core.predicates import is_even, less_than
 from repro.primitives import (
     ds_compact_records,
     ds_copy_if,
@@ -73,43 +73,6 @@ def assert_parity(rs, rv):
                 f"(simulated={getattr(cs, field)}, "
                 f"vectorized={getattr(cv, field)})")
     assert rv.counters and rv.counters[-1].extras.get("vectorized") == 1.0
-
-
-@pytest.fixture
-def compiled_env(monkeypatch):
-    """Force the compiled tier to execute (pure-Python mode when Numba
-    is absent) so its kernels — not the fallback — are under test."""
-    monkeypatch.setenv("REPRO_COMPILED_PYTHON", "1")
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-
-
-def run_with_compiled(fn, *args, **kwargs):
-    tuning = {k: kwargs.pop(k) for k in ("wg_size", "coarsening")
-              if k in kwargs}
-    rs = fn(*args, config=DSConfig(backend="simulated", **tuning), **kwargs)
-    rc = fn(*args, config=DSConfig(backend="compiled", **tuning), **kwargs)
-    return rs, rc
-
-
-def assert_compiled_parity(rs, rc):
-    """Same contract as assert_parity against the compiled tier.
-
-    Irregular launches run the JIT chain kernel and stamp
-    ``extras["compiled"]``; regular/keyed launches share the vectorized
-    fast path by design and stamp ``extras["vectorized"]`` — either
-    stamp proves the launch did not fall through to the simulator.
-    """
-    assert np.array_equal(np.asarray(rs.output), np.asarray(rc.output))
-    assert rc.num_launches == rs.num_launches
-    for cs, cc in zip(rs.counters, rc.counters):
-        for field in PARITY_FIELDS:
-            assert getattr(cc, field) == getattr(cs, field), (
-                f"{cs.kernel_name}: {field} differs "
-                f"(simulated={getattr(cs, field)}, "
-                f"compiled={getattr(cc, field)})")
-    assert rc.counters
-    last = rc.counters[-1].extras
-    assert last.get("compiled") == 1.0 or last.get("vectorized") == 1.0
 
 
 class TestRegularParity:
@@ -196,6 +159,29 @@ class TestIrregularParity:
         assert_parity(rs, rv)
         assert rv.output.size == 500
 
+    def test_fused_chain(self, rng, maxwell):
+        """A 3-stage ``pred -> stencil -> pred`` chain in one fused
+        launch."""
+        from repro.core.fused import FuseStage, run_fused_irregular
+        from repro.simgpu.buffers import Buffer
+        from repro.simgpu.stream import Stream
+
+        a = np.sort(rng.integers(0, 30, 1200)).astype(np.int64)
+        stages = [FuseStage("pred", less_than(25)), FuseStage("stencil"),
+                  FuseStage("pred", is_even())]
+        outputs, counters = [], []
+        for backend in ("simulated", "vectorized"):
+            buf = Buffer(a.copy(), "fuse_in")
+            res = run_fused_irregular(
+                buf, stages, Stream(maxwell, seed=1234), backend=backend,
+                wg_size=32, coarsening=2)
+            outputs.append(buf.data[:res.n_true].copy())
+            counters.append(res.counters)
+        assert np.array_equal(outputs[0], outputs[1])
+        for field in PARITY_FIELDS:
+            assert getattr(counters[0], field) == getattr(counters[1], field)
+        assert counters[1].extras.get("vectorized") == 1.0
+
 
 class TestKeyedParity:
     @pytest.mark.parametrize("wg_size,coarsening", [(32, 2), (64, 1)])
@@ -218,139 +204,6 @@ class TestKeyedParity:
         for name in cols:
             assert np.array_equal(rs.extras["columns"][name],
                                   rv.extras["columns"][name])
-
-
-class TestCompiledTierParity:
-    """The compiled tier must satisfy the same parity contract as the
-    vectorized one, on every registered primitive (pure-Python kernel
-    mode, so these run with or without Numba)."""
-
-    @pytest.mark.parametrize("wg_size,coarsening", GEOMETRIES)
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_pad(self, rng, compiled_env, wg_size, coarsening, dtype):
-        m = rng.integers(0, 100, (13, 37)).astype(dtype)
-        assert_compiled_parity(*run_with_compiled(
-            ds_pad, m, 5, fill=0, wg_size=wg_size, coarsening=coarsening))
-
-    def test_unpad(self, rng, compiled_env):
-        m = rng.integers(0, 100, (11, 40)).astype(np.float32)
-        assert_compiled_parity(*run_with_compiled(
-            ds_unpad, m, 7, wg_size=32, coarsening=2))
-
-    def test_insert_gap_and_erase_range(self, rng, compiled_env):
-        a = rng.integers(0, 9, 700).astype(np.int32)
-        assert_compiled_parity(*run_with_compiled(
-            ds_insert_gap, a, 123, 40, fill=-1, wg_size=32, coarsening=2))
-        assert_compiled_parity(*run_with_compiled(
-            ds_erase_range, a, 123, 40, wg_size=32, coarsening=2))
-
-    def test_ragged_round_trip(self, rng, compiled_env):
-        widths = rng.integers(0, 20, 40)
-        values = rng.integers(0, 50, int(widths.sum())).astype(np.float32)
-        rs, rc = run_with_compiled(ds_ragged_pad, values, widths, 24, fill=0,
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-        assert_compiled_parity(*run_with_compiled(
-            ds_ragged_unpad, rs.output, widths, wg_size=32, coarsening=2))
-
-    def test_pad_to_alignment(self, rng, compiled_env):
-        m = rng.integers(0, 100, (9, 29)).astype(np.float32)
-        assert_compiled_parity(*run_with_compiled(
-            ds_pad_to_alignment, m, 128, wg_size=32, coarsening=2))
-
-    @pytest.mark.parametrize("wg_size,coarsening", GEOMETRIES)
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_stream_compact(self, rng, compiled_env, wg_size, coarsening,
-                            dtype):
-        a = rng.integers(0, 5, 1500).astype(dtype)
-        rs, rc = run_with_compiled(ds_stream_compact, a, 0,
-                                   wg_size=wg_size, coarsening=coarsening)
-        assert_compiled_parity(rs, rc)
-        assert rc.extras["n_kept"] == rs.extras["n_kept"]
-        # Irregular ops must genuinely run the JIT chain kernel.
-        assert rc.counters[0].extras.get("compiled") == 1.0
-
-    @pytest.mark.parametrize("predicate", [is_even(), less_than(3)],
-                             ids=lambda p: p.name)
-    def test_remove_if_and_copy_if(self, rng, compiled_env, predicate):
-        a = rng.integers(0, 9, 900).astype(np.int64)
-        assert_compiled_parity(*run_with_compiled(
-            ds_remove_if, a, predicate, wg_size=32, coarsening=2))
-        assert_compiled_parity(*run_with_compiled(
-            ds_copy_if, a, predicate, wg_size=32, coarsening=2))
-
-    @pytest.mark.parametrize("wg_size,coarsening", GEOMETRIES)
-    def test_unique(self, rng, compiled_env, wg_size, coarsening):
-        a = np.repeat(rng.integers(0, 50, 300), rng.integers(1, 6, 300))
-        rs, rc = run_with_compiled(ds_unique, a.astype(np.int32),
-                                   wg_size=wg_size, coarsening=coarsening)
-        assert_compiled_parity(rs, rc)
-        assert rc.counters[0].extras.get("compiled") == 1.0
-
-    @pytest.mark.parametrize("in_place", [True, False])
-    def test_partition(self, rng, compiled_env, in_place):
-        a = rng.integers(0, 9, 1100).astype(np.float32)
-        rs, rc = run_with_compiled(ds_partition, a, is_even(),
-                                   in_place=in_place,
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-        assert rc.extras["n_true"] == rs.extras["n_true"]
-
-    def test_all_removed_and_all_kept(self, compiled_env):
-        zeros = np.zeros(500, dtype=np.float32)
-        rs, rc = run_with_compiled(ds_stream_compact, zeros, 0.0,
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-        assert rc.output.size == 0
-        ones = np.ones(500, dtype=np.float32)
-        rs, rc = run_with_compiled(ds_stream_compact, ones, 0.0,
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-        assert rc.output.size == 500
-
-    def test_keyed_ops(self, rng, compiled_env):
-        keys = np.sort(rng.integers(0, 60, 800)).astype(np.int32)
-        values = rng.random(800).astype(np.float32)
-        rs, rc = run_with_compiled(ds_unique_by_key, keys, values,
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-        assert np.array_equal(rs.extras["keys"], rc.extras["keys"])
-        key = rng.integers(0, 9, 600).astype(np.int64)
-        cols = {"a": rng.random(600).astype(np.float32)}
-        rs, rc = run_with_compiled(ds_compact_records, key, cols, is_even(),
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-
-    def test_fused_chain(self, rng, compiled_env, stream, maxwell):
-        from repro.core.fused import FuseStage, run_fused_irregular
-        from repro.simgpu.buffers import Buffer
-        from repro.simgpu.stream import Stream
-
-        a = np.sort(rng.integers(0, 30, 1200)).astype(np.int64)
-        stages = [FuseStage("pred", less_than(25)), FuseStage("stencil"),
-                  FuseStage("pred", is_even())]
-        outputs, counters = [], []
-        for backend in ("simulated", "compiled"):
-            buf = Buffer(a.copy(), "fuse_in")
-            res = run_fused_irregular(
-                buf, stages, Stream(maxwell, seed=1234), backend=backend,
-                wg_size=32, coarsening=2)
-            outputs.append(buf.data[:res.n_true].copy())
-            counters.append(res.counters)
-        assert np.array_equal(outputs[0], outputs[1])
-        for field in PARITY_FIELDS:
-            assert getattr(counters[0], field) == getattr(counters[1], field)
-        assert counters[1].extras.get("compiled") == 1.0
-
-    def test_opaque_predicate_falls_back_per_launch(self, rng, compiled_env):
-        """A predicate the lowering can't parse must still execute
-        (vectorized fallback for that launch), with identical output."""
-        opaque = Predicate(lambda v: v % 3 == 0, "mystery")
-        a = rng.integers(0, 12, 700).astype(np.int64)
-        rs, rc = run_with_compiled(ds_remove_if, a, opaque,
-                                   wg_size=32, coarsening=2)
-        assert_compiled_parity(rs, rc)
-        assert rc.counters[0].extras.get("vectorized") == 1.0
 
 
 class TestDispatchRules:

@@ -148,33 +148,21 @@ class TestDSConfig:
         assert DSConfig(backend="vec") == DSConfig(backend="vectorized")
         assert DSConfig(backend="sim").backend == "simulated"
 
-    def test_compiled_shorthands_normalized(self, monkeypatch):
-        # Force the pure-Python compiled mode so "compiled" resolves to
-        # itself regardless of whether Numba exists in this environment.
-        monkeypatch.setenv("REPRO_COMPILED_PYTHON", "1")
-        assert DSConfig(backend="jit") == DSConfig(backend="compiled")
-        assert DSConfig(backend="numba").backend == "compiled"
+    @pytest.mark.parametrize("raw", ["compiled", "jit", "numba"])
+    def test_removed_compiled_tier_rejected(self, raw):
+        # The Numba tier is gone: each of its spellings takes the typed
+        # unknown-backend path at every entry point, pointing at the
+        # vectorized tier instead.
+        import repro.api
+        from repro.errors import ReproError
 
-    def test_compiled_degrades_to_vectorized_when_unavailable(
-            self, monkeypatch):
-        from repro.simgpu.vectorized import (fallback_count,
-                                             reset_fallback_state)
-        monkeypatch.delenv("REPRO_COMPILED_PYTHON", raising=False)
-        monkeypatch.setenv("NUMBA_DISABLE_JIT", "1")
-        reset_fallback_state()
-        try:
-            before = fallback_count()
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                cfg = DSConfig(backend="compiled")
-            assert cfg.backend == "vectorized"
-            assert fallback_count() == before + 1
-            # The warning fires once per process; the count keeps going.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert DSConfig(backend="jit").backend == "vectorized"
-            assert fallback_count() == before + 2
-        finally:
-            reset_fallback_state()
+        with pytest.raises(LaunchError, match="removed.*'vectorized'"):
+            DSConfig(backend=raw)
+        with pytest.raises(ValueError, match="REPRO_BACKEND.*removed"):
+            DSConfig.from_env({"REPRO_BACKEND": raw})
+        x = np.asarray([1.0, 0.0, 2.0], dtype=np.float32)
+        with pytest.raises(ReproError, match="removed.*'vectorized'"):
+            repro.api.compact(x, 0, backend=raw)
 
     def test_validation(self):
         with pytest.raises(LaunchError):
@@ -203,18 +191,12 @@ class TestDSConfig:
     def test_from_env_empty(self):
         assert DSConfig.from_env({}) == DSConfig()
 
-    def test_from_env_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PYTHON", "1")
-        for raw in ("compiled", "jit", "numba"):
-            cfg = DSConfig.from_env({"REPRO_BACKEND": raw})
-            assert cfg.backend == "compiled", raw
-
     def test_from_env_unknown_backend_names_variable_and_tiers(self):
         with pytest.raises(ValueError) as exc:
             DSConfig.from_env({"REPRO_BACKEND": "cuda"})
         msg = str(exc.value)
         assert "REPRO_BACKEND" in msg and "'cuda'" in msg
-        for tier in ("simulated", "vectorized", "compiled"):
+        for tier in ("simulated", "vectorized"):
             assert tier in msg
 
     @pytest.mark.parametrize("var,raw", [
