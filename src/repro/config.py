@@ -21,9 +21,10 @@ pipeline's plan cache key plans by configuration.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import LaunchError
 from repro.simgpu.vectorized import resolve_backend
@@ -62,31 +63,83 @@ _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
 
 
-def _env_int(name: str, raw: str, minimum: Optional[int] = None) -> int:
-    """Parse one integer environment value, naming the variable on error."""
+def env_int(raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
-        raise ValueError(
-            f"{name}={raw!r}: expected an integer") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name}={raw!r}: expected an integer >= {minimum}")
-    return value
+        raise ValueError("expected an integer") from None
 
 
-def _env_bool(name: str, raw: str) -> bool:
+def env_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError("expected a number") from None
+
+
+def env_bool(raw: str) -> bool:
     value = _BOOL_STRINGS.get(raw.lower())
     if value is None:
         raise ValueError(
-            f"{name}={raw!r}: expected one of "
-            f"{sorted(_BOOL_STRINGS)} (a boolean)")
+            f"expected one of {sorted(_BOOL_STRINGS)} (a boolean)")
     return value
 
 
-def _env_choice(name: str, raw: str, choices: tuple) -> str:
-    if raw not in choices:
-        raise ValueError(f"{name}={raw!r}: expected one of {choices}")
-    return raw
+def env_choice(*choices: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {choices}")
+        return raw
+    return parse
+
+
+EnvTable = Sequence[Tuple[str, str, Callable[[str], object]]]
+"""``(variable, field, parser)`` rows; a parser raises ``ValueError``
+(or :class:`~repro.errors.LaunchError`) saying what it expected."""
+
+
+def _parse_env(var: str, raw: str, parse: Callable[[str], object]):
+    try:
+        return parse(raw)
+    except (ValueError, LaunchError) as exc:
+        raise ValueError(f"{var}={raw!r}: {exc}") from None
+
+
+def config_from_env(cls, table: EnvTable, environ=None, **fixed):
+    """Build the frozen config ``cls`` from the variables in ``table``.
+
+    Unset or blank variables keep the field default; ``fixed`` fields
+    are passed through.  Range checks stay in ``cls.__post_init__``:
+    when it rejects the values, the :class:`ValueError` names every
+    variable that was set and whose field the message mentions, as
+    ``VAR='raw': <reason>``, so operators fix the right knob.
+    """
+    env = os.environ if environ is None else environ
+    kwargs, origins = {}, {}
+    for var, name, parse in table:
+        raw = env.get(var, "").strip()
+        if raw:
+            kwargs[name] = _parse_env(var, raw, parse)
+            origins[name] = f"{var}={raw!r}"
+    try:
+        return cls(**kwargs, **fixed)
+    except (ValueError, LaunchError) as exc:
+        named = [origin for name, origin in origins.items()
+                 if re.search(rf"\b{name}\b", str(exc))]
+        if not named:
+            raise
+        raise ValueError(f"{', '.join(named)}: {exc}") from None
+
+
+def check_positive(config, name: str, value, *,
+                   zero_ok: bool = False) -> None:
+    """The ``__post_init__`` range check of the serve and fleet configs:
+    ``value >= 1`` (``>= 0`` with ``zero_ok``)."""
+    bound = 0 if zero_ok else 1
+    if value < bound:
+        raise ValueError(
+            f"{type(config).__name__}.{name} must be >= {bound}, "
+            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -187,70 +240,41 @@ class DSConfig:
         :class:`~repro.errors.ReproError` naming the file.
         """
         env = os.environ if environ is None else environ
+        config = config_from_env(cls, _ENV_TABLE, env)
+        tuned = env.get("REPRO_TUNED", "").strip()
+        if tuned and _parse_env("REPRO_TUNED", tuned, env_bool):
+            config = config._with_tuned_defaults(env)
+        return config
 
-        def _get(name):
-            raw = env.get(name, "")
-            return raw.strip() or None
-
-        kwargs = {}
-        if _get("REPRO_WG_SIZE"):
-            kwargs["wg_size"] = _env_int("REPRO_WG_SIZE", _get("REPRO_WG_SIZE"),
-                                         minimum=1)
-        if _get("REPRO_COARSENING"):
-            kwargs["coarsening"] = _env_int(
-                "REPRO_COARSENING", _get("REPRO_COARSENING"), minimum=1)
-        if _get("REPRO_REDUCTION_VARIANT"):
-            kwargs["reduction_variant"] = _env_choice(
-                "REPRO_REDUCTION_VARIANT", _get("REPRO_REDUCTION_VARIANT"),
-                _REDUCTION_VARIANTS)
-        if _get("REPRO_SCAN_VARIANT"):
-            kwargs["scan_variant"] = _env_choice(
-                "REPRO_SCAN_VARIANT", _get("REPRO_SCAN_VARIANT"),
-                _SCAN_VARIANTS)
-        if _get("REPRO_RACE_TRACKING"):
-            kwargs["race_tracking"] = _env_bool(
-                "REPRO_RACE_TRACKING", _get("REPRO_RACE_TRACKING"))
-        if _get("REPRO_BACKEND"):
-            raw = _get("REPRO_BACKEND")
-            try:
-                kwargs["backend"] = resolve_backend(raw)
-            except LaunchError as exc:
-                raise ValueError(f"REPRO_BACKEND={raw!r}: {exc}") from None
-        if _get("REPRO_SEED"):
-            kwargs["seed"] = _env_int("REPRO_SEED", _get("REPRO_SEED"))
-        if _get("REPRO_SHARD_ELEMS"):
-            kwargs["shard_elems"] = _env_int(
-                "REPRO_SHARD_ELEMS", _get("REPRO_SHARD_ELEMS"), minimum=1)
-        if _get("REPRO_SHARD_WORKERS"):
-            kwargs["shard_workers"] = _env_int(
-                "REPRO_SHARD_WORKERS", _get("REPRO_SHARD_WORKERS"), minimum=0)
-        if _get("REPRO_SHARD_DOUBLE_BUFFER"):
-            kwargs["double_buffer"] = _env_bool(
-                "REPRO_SHARD_DOUBLE_BUFFER", _get("REPRO_SHARD_DOUBLE_BUFFER"))
-        if _get("REPRO_TUNED") and _env_bool("REPRO_TUNED",
-                                             _get("REPRO_TUNED")):
-            kwargs = cls._apply_tuned_defaults(kwargs, env)
-        return cls(**kwargs)
-
-    @staticmethod
-    def _apply_tuned_defaults(kwargs: dict, env) -> dict:
-        """Fill ``kwargs`` from the tuning DB's per-backend ``default|``
+    def _with_tuned_defaults(self, env) -> "DSConfig":
+        """Fill fields from the tuning DB's per-backend ``default|``
         entry, without overriding fields the environment pinned."""
-        from repro.simgpu.vectorized import resolve_backend as _resolve
         from repro.tune.db import KERNEL_CONFIG_KNOBS, TuningDB
 
         path = (env.get("REPRO_TUNING_DB", "").strip()
                 or "benchmarks/results/TUNING_DB.json")
         db = TuningDB.load(path)
-        backend = _resolve(kwargs.get("backend"))
-        tuned = db.default_knobs(backend)
-        if not tuned:
-            return kwargs
-        for name in KERNEL_CONFIG_KNOBS:
-            if name in tuned and name not in kwargs:
-                kwargs[name] = tuned[name]
-        return kwargs
+        tuned = db.default_knobs(self.resolved_backend()) or {}
+        pinned = {name for var, name, _ in _ENV_TABLE
+                  if env.get(var, "").strip()}
+        return self.replace(**{name: tuned[name]
+                               for name in KERNEL_CONFIG_KNOBS
+                               if name in tuned and name not in pinned})
 
+
+_ENV_TABLE: EnvTable = (
+    ("REPRO_WG_SIZE", "wg_size", env_int),
+    ("REPRO_COARSENING", "coarsening", env_int),
+    ("REPRO_REDUCTION_VARIANT", "reduction_variant",
+     env_choice(*_REDUCTION_VARIANTS)),
+    ("REPRO_SCAN_VARIANT", "scan_variant", env_choice(*_SCAN_VARIANTS)),
+    ("REPRO_RACE_TRACKING", "race_tracking", env_bool),
+    ("REPRO_BACKEND", "backend", resolve_backend),
+    ("REPRO_SEED", "seed", env_int),
+    ("REPRO_SHARD_ELEMS", "shard_elems", env_int),
+    ("REPRO_SHARD_WORKERS", "shard_workers", env_int),
+    ("REPRO_SHARD_DOUBLE_BUFFER", "double_buffer", env_bool),
+)
 
 DEFAULT_CONFIG = DSConfig()
 

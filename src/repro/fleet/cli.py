@@ -68,9 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "here before the fleet closes (implies "
                              "--trace full unless --trace is given)")
     parser.add_argument("--trace-overhead-check", action="store_true",
-                        help="run the load twice (tracing off, then on) "
-                             "and fail unless traced throughput stays "
-                             ">= 0.9x of untraced")
+                        help="run the load with tracing off and on (a "
+                             "warmup, then 6 interleaved pairs) and fail "
+                             "unless traced throughput stays >= 0.9x of "
+                             "untraced")
     parser.add_argument("--stats", action="store_true",
                         help="print the full fleet stats snapshot "
                              "(per-worker + rollup + ring + autoscaler)")
@@ -154,23 +155,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _trace_overhead_check(args) -> int:
-    """The recorder-on overhead guard: the same load with tracing off
-    and with the span recorder on; traced throughput must hold >= 0.9x
-    of untraced.  Measures ``spans`` mode — the distributed-tracing
-    machinery itself (context propagation, span rings, router span
-    synthesis) — unless ``--trace full`` asks for the instant-event
-    firehose too.
-
-    Shared CI boxes stall for whole seconds at a time, which swings any
-    single throughput sample by more than the recorder ever could, so
-    the guard is built from noise-robust statistics: a warmup run,
-    then interleaved off/traced pairs, passing if EITHER the ratio of
-    per-mode bests or the best matched-pair ratio clears the bound —
-    i.e. the recorder demonstrably kept up in at least one clean
-    comparison.  A real regression drags every pair down and fails
-    both statistics."""
+    """The recorder-on overhead guard
+    (:func:`repro.serve.loadgen.overhead_check`) over fleet load runs
+    with tracing off and on.  Measures ``spans`` mode — the
+    distributed-tracing machinery itself (context propagation, flight
+    rings, router span synthesis) — unless ``--trace full`` asks for
+    the instant-event firehose too."""
+    from repro.errors import ServeError
     from repro.fleet.config import FleetConfig
     from repro.fleet.loadgen import run_fleet_load
+    from repro.serve.loadgen import overhead_check
 
     cfg = FleetConfig.from_env()
     if args.workers is not None:
@@ -186,41 +180,23 @@ def _trace_overhead_check(args) -> int:
     # than the recorder does; stretch the window so the guard measures
     # tracing, not the OS.
     requests = max(args.requests, 64)
-    rounds = 6
-    run_fleet_load(shapes=shapes, sizes=sizes, clients=args.clients,
-                   requests_per_client=max(8, requests // 4),
-                   fleet_config=cfg.replace(trace="off"),
-                   seed=args.seed, prime=not args.no_prime)
-    throughputs = {"off": [], traced_mode: []}
-    for _ in range(rounds):
-        for mode in ("off", traced_mode):
-            run = run_fleet_load(
-                shapes=shapes, sizes=sizes, clients=args.clients,
-                requests_per_client=requests,
-                fleet_config=cfg.replace(trace=mode), seed=args.seed,
-                prime=not args.no_prime)
-            if run.failed or run.wrong:
-                print(f"trace={mode}: {run.failed + run.wrong} "
-                      f"requests failed/wrong", file=sys.stderr)
-                return 1
-            throughputs[mode].append(run.throughput_rps)
-    best = {mode: max(vals) for mode, vals in throughputs.items()}
-    for mode in ("off", traced_mode):
-        print(f"trace={mode}: best {best[mode]:.1f} req/s over "
-              f"{rounds} interleaved runs of "
-              f"{args.clients * requests} requests")
-    pair_ratios = [t / o for o, t in zip(throughputs["off"],
-                                         throughputs[traced_mode]) if o]
-    best_ratio = (best[traced_mode] / best["off"]) if best["off"] else 1.0
-    ratio = max([best_ratio] + pair_ratios)
-    print("pair ratios: "
-          + " ".join(f"{p:.3f}" for p in pair_ratios))
-    print(f"tracing overhead: {ratio:.3f}x of untraced throughput "
-          f"(best-of-run ratio {best_ratio:.3f}x, bound 0.90x)")
-    if ratio < 0.90:
-        print("trace overhead check FAILED: recorder-on throughput "
-              "dropped below 0.9x", file=sys.stderr)
+
+    def run(on: bool):
+        return run_fleet_load(
+            shapes=shapes, sizes=sizes, clients=args.clients,
+            requests_per_client=requests,
+            fleet_config=cfg.replace(trace=traced_mode if on else "off"),
+            seed=args.seed, prime=not args.no_prime)
+
+    try:
+        result = overhead_check(run)
+    except ServeError as exc:
+        print(f"trace overhead check FAILED: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(result, indent=2, sort_keys=True))
+    print(f"tracing overhead (trace={traced_mode}): best pair "
+          f"{result['ratio']:.3f}x of untraced throughput "
+          f"(bound {result['bound']:.2f}x)")
     print("trace overhead check: OK")
     return 0
 

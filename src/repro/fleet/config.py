@@ -31,20 +31,14 @@ Each worker runs a full :class:`repro.serve.Server` under the embedded
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.config import (EnvTable, check_positive, config_from_env,
+                          env_float, env_int)
 from repro.serve.config import ServeConfig
 
 __all__ = ["FleetConfig", "DEFAULT_FLEET_CONFIG"]
-
-
-def _positive(name: str, value, *, zero_ok: bool = False) -> None:
-    bound = 0 if zero_ok else 1
-    if value < bound:
-        raise ValueError(
-            f"FleetConfig.{name} must be >= {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +87,14 @@ class FleetConfig:
     trace:
         Distributed-tracing mode: ``"off"`` (default — zero overhead),
         ``"spans"`` or ``"full"``.  When on, every worker installs a
-        tracer sharing the worker clock epoch plus a bounded span ring,
-        trace contexts ride the transport, the router synthesizes
-        ``serve.request``/``route``/``transport``/``worker``/
-        ``response`` spans per request, and
+        tracer sharing the worker clock epoch whose spans land in its
+        server's flight recorder, trace contexts ride the transport,
+        the router synthesizes ``serve.request``/``route``/
+        ``transport``/``worker``/``response`` spans per request, and
         :meth:`~repro.fleet.Fleet.dump_trace` can merge it all into one
-        clock-aligned Chrome trace.
-    trace_capacity:
-        Span-ring capacity per worker (and for the router's own ring).
+        clock-aligned Chrome trace.  The rings hold
+        ``serve.flight_capacity`` spans each, so tracing needs a
+        non-zero ``serve.flight_capacity``.
     clock_sync_samples:
         Rounds of the NTP-style clock handshake run at worker spawn
         (and autoscaler grow); the min-RTT sample wins.
@@ -124,25 +118,27 @@ class FleetConfig:
     request_timeout_s: float = 60.0
     incident_dir: Optional[str] = None
     trace: str = "off"
-    trace_capacity: int = 4096
     clock_sync_samples: int = 5
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
-        _positive("n_workers", int(self.n_workers))
-        _positive("min_workers", int(self.min_workers))
-        _positive("max_workers", int(self.max_workers))
-        _positive("vnodes", int(self.vnodes))
-        _positive("queue_high", int(self.queue_high))
-        _positive("queue_low", int(self.queue_low), zero_ok=True)
-        _positive("up_after", int(self.up_after))
-        _positive("down_after", int(self.down_after))
-        _positive("cooldown_ticks", int(self.cooldown_ticks), zero_ok=True)
-        _positive("tick_interval_s", float(self.tick_interval_s),
-                  zero_ok=True)
-        _positive("drain_timeout_s", float(self.drain_timeout_s))
-        _positive("request_timeout_s", float(self.request_timeout_s))
-        _positive("p95_high_ms", float(self.p95_high_ms))
+        check_positive(self, "n_workers", int(self.n_workers))
+        check_positive(self, "min_workers", int(self.min_workers))
+        check_positive(self, "max_workers", int(self.max_workers))
+        check_positive(self, "vnodes", int(self.vnodes))
+        check_positive(self, "queue_high", int(self.queue_high))
+        check_positive(self, "queue_low", int(self.queue_low),
+                       zero_ok=True)
+        check_positive(self, "up_after", int(self.up_after))
+        check_positive(self, "down_after", int(self.down_after))
+        check_positive(self, "cooldown_ticks", int(self.cooldown_ticks),
+                       zero_ok=True)
+        check_positive(self, "tick_interval_s", float(self.tick_interval_s),
+                       zero_ok=True)
+        check_positive(self, "drain_timeout_s", float(self.drain_timeout_s))
+        check_positive(self, "request_timeout_s",
+                       float(self.request_timeout_s))
+        check_positive(self, "p95_high_ms", float(self.p95_high_ms))
         if float(self.load_factor) < 1.0:
             raise ValueError(
                 "FleetConfig.load_factor must be >= 1.0 (a cap below "
@@ -156,8 +152,13 @@ class FleetConfig:
             raise ValueError(
                 "FleetConfig.trace must be one of 'off'/'spans'/'full', "
                 f"got {self.trace!r}")
-        _positive("trace_capacity", int(self.trace_capacity))
-        _positive("clock_sync_samples", int(self.clock_sync_samples))
+        if self.trace != "off" and self.serve.flight_capacity == 0:
+            raise ValueError(
+                f"FleetConfig.trace={self.trace!r} keeps spans in the "
+                "workers' flight recorders, which "
+                "serve.flight_capacity=0 disables")
+        check_positive(self, "clock_sync_samples",
+                       int(self.clock_sync_samples))
 
     def replace(self, **changes) -> "FleetConfig":
         """A copy with ``changes`` applied (the frozen-dataclass idiom)."""
@@ -174,70 +175,33 @@ class FleetConfig:
         ``REPRO_FLEET_UP_AFTER``, ``REPRO_FLEET_DOWN_AFTER``,
         ``REPRO_FLEET_COOLDOWN_TICKS``, ``REPRO_FLEET_TICK_S``,
         ``REPRO_FLEET_DRAIN_TIMEOUT_S``, ``REPRO_FLEET_REQUEST_TIMEOUT_S``,
-        ``REPRO_FLEET_INCIDENT_DIR``, ``REPRO_FLEET_TRACE``,
-        ``REPRO_FLEET_TRACE_CAPACITY`` and
+        ``REPRO_FLEET_INCIDENT_DIR``, ``REPRO_FLEET_TRACE`` and
         ``REPRO_FLEET_CLOCK_SAMPLES``; the embedded worker config
         comes from :meth:`ServeConfig.from_env` (``REPRO_SERVE_*``).
         Malformed values raise :class:`ValueError` naming the variable.
         """
-        env = os.environ if environ is None else environ
+        return config_from_env(cls, _ENV_TABLE, environ,
+                               serve=ServeConfig.from_env(environ))
 
-        def _get(name):
-            raw = env.get(name, "")
-            return raw.strip() or None
 
-        def _str(name):
-            return _get(name)
-
-        def _int(name):
-            raw = _get(name)
-            try:
-                return int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{name}={raw!r}: expected an integer") from None
-
-        def _float(name):
-            raw = _get(name)
-            try:
-                return float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{name}={raw!r}: expected a number") from None
-
-        kwargs = {}
-        spec = [
-            ("REPRO_FLEET_WORKERS", "n_workers", _int),
-            ("REPRO_FLEET_MIN_WORKERS", "min_workers", _int),
-            ("REPRO_FLEET_MAX_WORKERS", "max_workers", _int),
-            ("REPRO_FLEET_VNODES", "vnodes", _int),
-            ("REPRO_FLEET_LOAD_FACTOR", "load_factor", _float),
-            ("REPRO_FLEET_QUEUE_HIGH", "queue_high", _int),
-            ("REPRO_FLEET_QUEUE_LOW", "queue_low", _int),
-            ("REPRO_FLEET_P95_HIGH_MS", "p95_high_ms", _float),
-            ("REPRO_FLEET_UP_AFTER", "up_after", _int),
-            ("REPRO_FLEET_DOWN_AFTER", "down_after", _int),
-            ("REPRO_FLEET_COOLDOWN_TICKS", "cooldown_ticks", _int),
-            ("REPRO_FLEET_TICK_S", "tick_interval_s", _float),
-            ("REPRO_FLEET_DRAIN_TIMEOUT_S", "drain_timeout_s", _float),
-            ("REPRO_FLEET_REQUEST_TIMEOUT_S", "request_timeout_s", _float),
-            ("REPRO_FLEET_INCIDENT_DIR", "incident_dir", _str),
-            ("REPRO_FLEET_TRACE", "trace", _str),
-            ("REPRO_FLEET_TRACE_CAPACITY", "trace_capacity", _int),
-            ("REPRO_FLEET_CLOCK_SAMPLES", "clock_sync_samples", _int),
-        ]
-        for var, field_name, parse in spec:
-            if _get(var):
-                kwargs[field_name] = parse(var)
-        kwargs["serve"] = ServeConfig.from_env(environ)
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            field_to_var = {f: v for v, f, _ in spec}
-            for field_name, var in field_to_var.items():
-                if f"FleetConfig.{field_name}" in str(exc):
-                    raise ValueError(f"{var}: {exc}") from None
-            raise
-
+_ENV_TABLE: EnvTable = (
+    ("REPRO_FLEET_WORKERS", "n_workers", env_int),
+    ("REPRO_FLEET_MIN_WORKERS", "min_workers", env_int),
+    ("REPRO_FLEET_MAX_WORKERS", "max_workers", env_int),
+    ("REPRO_FLEET_VNODES", "vnodes", env_int),
+    ("REPRO_FLEET_LOAD_FACTOR", "load_factor", env_float),
+    ("REPRO_FLEET_QUEUE_HIGH", "queue_high", env_int),
+    ("REPRO_FLEET_QUEUE_LOW", "queue_low", env_int),
+    ("REPRO_FLEET_P95_HIGH_MS", "p95_high_ms", env_float),
+    ("REPRO_FLEET_UP_AFTER", "up_after", env_int),
+    ("REPRO_FLEET_DOWN_AFTER", "down_after", env_int),
+    ("REPRO_FLEET_COOLDOWN_TICKS", "cooldown_ticks", env_int),
+    ("REPRO_FLEET_TICK_S", "tick_interval_s", env_float),
+    ("REPRO_FLEET_DRAIN_TIMEOUT_S", "drain_timeout_s", env_float),
+    ("REPRO_FLEET_REQUEST_TIMEOUT_S", "request_timeout_s", env_float),
+    ("REPRO_FLEET_INCIDENT_DIR", "incident_dir", str),
+    ("REPRO_FLEET_TRACE", "trace", str),
+    ("REPRO_FLEET_CLOCK_SAMPLES", "clock_sync_samples", env_int),
+)
 
 DEFAULT_FLEET_CONFIG = FleetConfig()

@@ -34,24 +34,24 @@ manually.
 
 **Distributed tracing** (``FleetConfig.trace != "off"``): every request
 gets a :class:`~repro.obs.distrib.TraceContext` riding the transport
-``meta``, every worker keeps a bounded span ring the front door
-collects (on drain and on demand), worker clocks are calibrated against
-the router's with an NTP-style handshake at spawn and on every
-autoscaler grow, and :meth:`Fleet.dump_trace` merges it all into one
-clock-aligned Chrome trace — the router synthesizing per-request
-``serve.request`` → ``route``/``transport``/``worker``/``response``
-spans from its own timestamps plus the worker's response timing.  On
-breaker/SLO/deadline triggers (worker incident dumps escalate through
-the outbox; request timeouts fire router-side) the fleet gathers every
-worker's flight ring plus router context into **one** fleet-wide
-``incident-*/`` bundle that ``repro analyze`` and ``repro replay``
-already understand.
+``meta``, every worker's flight-recorder ring holds its spans for the
+front door to collect (on drain and on demand), worker clocks are
+calibrated against the router's with an NTP-style handshake at spawn
+and on every autoscaler grow, and :meth:`Fleet.dump_trace` merges it
+all into one clock-aligned Chrome trace — the router synthesizing
+per-request ``serve.request`` → ``route``/``transport``/``worker``/
+``response`` spans from its own timestamps plus the worker's response
+timing.  On breaker/SLO/deadline triggers (worker incident dumps
+escalate through the outbox; request timeouts fire router-side) the
+fleet gathers every worker's flight ring plus router context into
+**one** fleet-wide ``incident-*/`` bundle, written by the router's own
+:class:`~repro.obs.flight.FlightRecorder` in the format ``repro
+analyze`` and ``repro replay`` already understand.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
 import threading
@@ -69,9 +69,8 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.hashring import HashRing
 from repro.fleet.transport import freeze_ops, fetch_result, stage_payload
 from repro.fleet.worker import worker_main
-from repro.obs.distrib import (ClockSync, SpanRing, calibrate,
-                               merge_fleet_trace)
-from repro.obs.export import _sanitize
+from repro.obs.distrib import ClockSync, calibrate, merge_fleet_trace
+from repro.obs.flight import FlightRecorder
 from repro.obs.rollup import fleet_p95_ms, merge_server_stats
 from repro.obs.tracer import new_span_id, new_trace_id
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
@@ -230,21 +229,28 @@ class Fleet:
         # timebase every worker clock is calibrated onto.
         self._t0_ns = time.perf_counter_ns()
         self.tracing = self.config.trace != "off"
-        self._router_ring = (SpanRing(self.config.trace_capacity)
-                             if self.tracing else None)
+        # The router's ring holds the request spans it synthesizes (it
+        # has no tracer, so it is never installed as a span sink) and
+        # writes the fleet-wide incident bundles.
+        self.flight = FlightRecorder(
+            self.config.serve.flight_capacity,
+            incident_dir=self.config.incident_dir or "incidents",
+            cooldown_ms=self.config.serve.incident_cooldown_ms)
         self._clock_syncs: Dict[str, ClockSync] = {}
         #: spans archived from drained/dead workers, so a merged trace
         #: survives the processes that produced it.
         self._dead_spans: Dict[str, List[dict]] = {}
-        self.fleet_incidents: List[Path] = []
-        self._incident_seq = itertools.count(1)
-        self._last_incident: Dict[str, float] = {}
         if autostart:
             self.start()
 
     def now_us(self) -> float:
         """Microseconds on the router clock (since Fleet construction)."""
         return (time.perf_counter_ns() - self._t0_ns) / 1e3
+
+    @property
+    def fleet_incidents(self) -> List[Path]:
+        """The fleet-wide incident bundles written so far."""
+        return list(self.flight.dumps)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -330,8 +336,7 @@ class Fleet:
             target=worker_main,
             args=(worker_id, inbox, self._outbox,
                   self._serve_config_for(worker_id, index),
-                  self.ds_config, self.device, self.config.trace,
-                  self.config.trace_capacity),
+                  self.ds_config, self.device, self.config.trace),
             name=f"fleet-{worker_id}", daemon=True)
         proc.start()
         handle = _WorkerHandle(worker_id, proc, inbox)
@@ -671,27 +676,22 @@ class Fleet:
         calibrated :class:`~repro.obs.distrib.ClockSync` offsets, so one
         request's ``serve.request`` (router) visually contains the
         worker-side batch/kernel spans it caused."""
-        router_spans = (self._router_ring.snapshot()
-                        if self._router_ring is not None else [])
         worker_spans = self.collect_spans()
         with self._lock:
             syncs = dict(self._clock_syncs)
-        return merge_fleet_trace(router_spans, worker_spans,
+        return merge_fleet_trace(self.flight.span_dicts(), worker_spans,
                                  clock_syncs=syncs, path=path)
 
     def _emit_router_spans(self, trace: dict, timing: Optional[dict],
                            *, error: Optional[str] = None) -> None:
         """Synthesize the router's view of one finished request into the
-        router span ring: a root ``serve.request`` spanning submit →
+        router's flight ring: a root ``serve.request`` spanning submit →
         response, with ``route`` / ``transport`` / ``worker`` /
         ``response`` children splitting the wall time.  Worker-side
         timestamps come from the response's ``timing`` dict mapped onto
         the router clock via the worker's calibrated offset, clamped
         monotonically so calibration error can never produce a child
         outside its parent."""
-        ring = self._router_ring
-        if ring is None:
-            return
         t_done = self.now_us()
         rid = trace["request_id"]
         t_submit = trace["t_submit_us"]
@@ -703,7 +703,7 @@ class Fleet:
 
         def emit(name, start, end, span_id=None, **args):
             ts = round(start, 3)
-            ring.add({
+            self.flight.add({
                 "name": name, "cat": "serve", "track": track,
                 "ts_us": ts, "dur_us": max(0.0, round(end, 3) - ts),
                 "args": args,
@@ -735,81 +735,40 @@ class Fleet:
                          ) -> Optional[Path]:
         """Gather a **fleet-wide** incident bundle: every worker's
         flight ring (spans + events + local bundle paths) plus the
-        router's context and the merged clock-aligned trace, in one
-        ``incident-*/`` directory ``repro analyze`` / ``repro replay``
-        already understand.  Per-trigger cooldown mirrors
-        :meth:`~repro.obs.flight.FlightRecorder.maybe_dump`."""
-        if self.config.incident_dir is None:
+        router's context and the merged clock-aligned trace, written by
+        the router's flight recorder under its per-trigger cooldown."""
+        if self.config.incident_dir is None or not self.flight.claim(trigger):
             return None
-        cooldown_ms = self.config.serve.incident_cooldown_ms
-        now = time.monotonic()
-        with self._lock:
-            last = self._last_incident.get(trigger)
-            if last is not None and (now - last) * 1e3 < cooldown_ms:
-                return None
-            self._last_incident[trigger] = now
-            seq = next(self._incident_seq)
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        bundle = (Path(self.config.incident_dir)
-                  / f"incident-{stamp}-{seq:03d}-{trigger}")
-        bundle.mkdir(parents=True, exist_ok=True)
-
         gathered = self._gather_from_workers("bundle")
-        worker_spans: Dict[str, List[dict]] = {}
-        events: List[dict] = []
-        worker_meta: Dict[str, dict] = {}
         with self._lock:
-            for worker_id, spans in self._dead_spans.items():
-                worker_spans[worker_id] = list(spans)
+            workers = {worker_id: {"spans": list(spans)}
+                       for worker_id, spans in self._dead_spans.items()}
             syncs = dict(self._clock_syncs)
+        worker_meta: Dict[str, dict] = {}
         for worker_id in sorted(gathered):
             payload = gathered[worker_id] or {}
-            worker_spans.setdefault(worker_id, []).extend(
-                payload.get("spans") or [])
-            for ev in payload.get("events") or []:
-                events.append(dict(ev, worker=worker_id))
+            spans = payload.get("spans") or []
+            entry = workers.setdefault(worker_id, {"spans": []})
+            entry["spans"].extend(spans)
+            entry["events"] = payload.get("events") or []
             worker_meta[worker_id] = {
                 "incidents": payload.get("incidents") or [],
-                "n_spans": len(payload.get("spans") or []),
+                "n_spans": len(spans),
                 "clock_sync": (syncs[worker_id].to_dict()
                                if worker_id in syncs else None),
             }
-        router_spans = (self._router_ring.snapshot()
-                        if self._router_ring is not None else [])
-        merge_fleet_trace(router_spans, worker_spans, clock_syncs=syncs,
-                          path=bundle / "trace.json")
-
-        from repro.obs.flight import _config_dict
-
-        manifest = {
-            "kind": "repro-incident-bundle",
-            "scope": "fleet",
-            "trigger": trigger,
-            "reason": reason,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "source_worker": source_worker,
-            "worker_bundle": worker_bundle,
-            "n_spans": sum(len(s) for s in worker_spans.values())
-            + len(router_spans),
-            "n_events": len(events),
-            "events": _sanitize(events),
-            "metrics": [],
-            "ds_config": _config_dict(self.ds_config),
-            "serve_config": _config_dict(self.config.serve),
-            "context": _sanitize({
+        return self.flight.dump(
+            trigger, reason=reason, ds_config=self.ds_config,
+            serve_config=self.config.serve,
+            context={
                 "n_workers": self.n_workers,
                 "workers": worker_meta,
                 "routing": dict(self._route_counts),
                 "scale": {"ups": self.scale_ups,
                           "downs": self.scale_downs},
-            }),
-        }
-        (bundle / "manifest.json").write_text(
-            json.dumps(manifest, indent=1, sort_keys=True,
-                       allow_nan=False) + "\n")
-        with self._lock:
-            self.fleet_incidents.append(bundle)
-        return bundle
+            },
+            workers=workers, clock_syncs=syncs, scope="fleet",
+            source_worker=source_worker, worker_bundle=worker_bundle)
 
     def stats(self) -> dict:
         """The fleet health view: per-worker snapshots, the merged
@@ -829,8 +788,7 @@ class Fleet:
             scale = {"ups": self.scale_ups, "downs": self.scale_downs}
             trace = {
                 "mode": self.config.trace,
-                "router_spans": (len(self._router_ring)
-                                 if self._router_ring is not None else 0),
+                "router_spans": len(self.flight.spans()),
                 "clock_sync": {wid: sync.to_dict()
                                for wid, sync in self._clock_syncs.items()},
                 "fleet_incidents": [str(p) for p in self.fleet_incidents],

@@ -1,7 +1,8 @@
 """Closed-loop load generation and acceptance checks for the fleet.
 
-:func:`run_fleet_load` drives a :class:`repro.fleet.Fleet` with client
-threads spread over several traffic shapes *and* several input sizes —
+:func:`run_fleet_load` points the closed-loop client loop
+(:func:`repro.serve.loadgen.drive_load`) at a :class:`repro.fleet.Fleet`
+with traffic spread over several shapes *and* several input sizes —
 distinct batch keys, so the consistent-hash router actually has a key
 population to balance — and verifies every response byte-for-byte
 against the NumPy reference semantics.
@@ -12,7 +13,9 @@ against the NumPy reference semantics.
 1. **healthy phase** — multi-shape traffic over a 3-worker fleet;
    asserts byte-correct responses, bounded routing skew (no worker
    above 2x the mean key load) and an aggregate plan-cache hit rate
-   above 90% after warmup;
+   above 90% after warmup.  This is the report's timed window:
+   ``requests``, ``completed``, latency and throughput cover it only,
+   since the later phases' submits are acceptance probes;
 2. **burst phase** — a request backlog plus manual
    :meth:`~repro.fleet.Fleet.autoscale_tick` calls until the
    autoscaler *grows* the pool;
@@ -36,41 +39,33 @@ so the check passes or fails for real reasons.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.errors import ServeError
 from repro.fleet.config import FleetConfig
 from repro.fleet.fleet import Fleet
 from repro.serve.config import ServeConfig
-from repro.serve.loadgen import SHAPES, ShapeSpec, _percentile, make_shape
+from repro.serve.loadgen import (SHAPES, LoadReport, ShapeSpec, drive_load,
+                                 make_shape)
 
 __all__ = ["FleetLoadReport", "run_fleet_load", "run_fleet_check",
            "check_fleet_report"]
 
 
 @dataclass
-class FleetLoadReport:
-    """Everything a fleet load run measured (the ``backend="fleet"``
-    bench-index row reads straight off these fields)."""
+class FleetLoadReport(LoadReport):
+    """Everything a fleet load run measured: the
+    :class:`~repro.serve.loadgen.LoadReport` fields
+    :func:`~repro.serve.loadgen.drive_load` fills in, plus the fleet
+    facts (the ``backend="fleet"`` bench-index row reads straight off
+    these fields)."""
 
-    shapes: List[str]
-    clients: int
-    requests: int
-    completed: int = 0
-    wrong: int = 0
-    failed: int = 0
-    wall_s: float = 0.0
-    throughput_rps: float = 0.0
-    latency_p50_ms: float = 0.0
-    latency_p95_ms: float = 0.0
-    latency_p99_ms: float = 0.0
+    shapes: List[str] = field(default_factory=list)
     workers_start: int = 0
     workers_peak: int = 0
     workers_end: int = 0
@@ -78,12 +73,8 @@ class FleetLoadReport:
     scale_downs: int = 0
     routing_skew: float = 0.0
     route_keys: int = 0
-    plan_hit_rate: float = 0.0
     replay_trigger: Optional[str] = None
     replay_reproduced: Optional[bool] = None
-    incidents: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
-    stats: Optional[Dict] = None
     # Distributed-tracing acceptance (populated when the run traced).
     trace_path: Optional[str] = None
     trace_requests: Optional[int] = None
@@ -92,8 +83,7 @@ class FleetLoadReport:
     fleet_incidents: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["errors"] = list(self.errors[:5])
+        out = super().to_dict()
         out.pop("stats", None)
         return out
 
@@ -101,13 +91,7 @@ class FleetLoadReport:
         lines = [
             f"fleet loadgen: shapes={'+'.join(self.shapes)} "
             f"clients={self.clients} requests={self.requests}",
-            f"  completed {self.completed} ({self.wrong} wrong, "
-            f"{self.failed} failed)",
-            f"  throughput {self.throughput_rps:.1f} req/s over "
-            f"{self.wall_s * 1e3:.1f} ms",
-            f"  latency p50 {self.latency_p50_ms:.2f} ms, "
-            f"p95 {self.latency_p95_ms:.2f} ms, "
-            f"p99 {self.latency_p99_ms:.2f} ms",
+            *self._traffic_lines(),
             f"  workers {self.workers_start} -> peak {self.workers_peak} "
             f"-> {self.workers_end} "
             f"({self.scale_ups} scale-ups, {self.scale_downs} "
@@ -142,6 +126,13 @@ class FleetLoadReport:
         return "\n".join(lines)
 
 
+def _new_report(shapes: List[str], clients: int,
+                requests_per_client: int) -> FleetLoadReport:
+    return FleetLoadReport(shape="+".join(shapes), shapes=shapes,
+                           clients=clients,
+                           requests=clients * requests_per_client)
+
+
 def _traffic(shapes: List[str], sizes: List[int],
              seed: int) -> List[ShapeSpec]:
     """One ShapeSpec per (shape, size) — each is a distinct batch key,
@@ -151,48 +142,6 @@ def _traffic(shapes: List[str], sizes: List[int],
         for n in sizes:
             specs.append(make_shape(name, n, seed))
     return specs
-
-
-def _drive(fleet: Fleet, specs: List[ShapeSpec], report: FleetLoadReport,
-           *, clients: int, requests_per_client: int,
-           timeout_s: float) -> List[float]:
-    """Closed-loop clients, round-robining over the traffic specs."""
-    latencies: List[float] = []
-    lock = threading.Lock()
-
-    def client(cid: int) -> None:
-        for k in range(requests_per_client):
-            spec = specs[(cid + k) % len(specs)]
-            t0 = time.perf_counter()
-            try:
-                fut = fleet.submit_chain(spec.ops, spec.array)
-                result = fut.result(timeout=timeout_s)
-            except Exception as exc:
-                with lock:
-                    report.failed += 1
-                    report.errors.append(f"{type(exc).__name__}: {exc}")
-                continue
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            ok = np.array_equal(np.asarray(result.output), spec.expected)
-            with lock:
-                report.completed += 1
-                latencies.append(elapsed_ms)
-                if not ok:
-                    report.wrong += 1
-                    report.errors.append(
-                        f"client {cid}: wrong output for "
-                        f"{spec.name}/n={spec.array.size}")
-
-    threads = [threading.Thread(target=client, args=(i,),
-                                name=f"fleet-client-{i}")
-               for i in range(clients)]
-    t_start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    report.wall_s += time.perf_counter() - t_start
-    return latencies
 
 
 def _fold_stats(report: FleetLoadReport, stats: dict) -> None:
@@ -212,13 +161,26 @@ def _plan_counts(fleet: Fleet) -> tuple:
     return hits, misses
 
 
-def _hit_rate_delta(before: tuple, after: tuple) -> float:
-    """Plan-cache hit rate over the serving window only — priming
-    populates the caches with deliberate misses, so the cumulative
-    rate would punish exactly the warmup the check demands."""
+def _timed_window(fleet: Fleet, specs: List[ShapeSpec],
+                  report: FleetLoadReport, *, clients: int,
+                  requests_per_client: int, timeout_s: float,
+                  prime: bool = True) -> None:
+    """Prime every shape, then drive the closed-loop window the report
+    measures.  The plan-cache hit rate covers the window only —
+    priming populates the caches with deliberate misses, so the
+    cumulative rate would punish exactly the warmup the check
+    demands."""
+    report.workers_start = fleet.n_workers
+    if prime:
+        for spec in specs:
+            fleet.prime(spec.ops, spec.array)
+    before = _plan_counts(fleet)
+    drive_load(fleet, specs, report, clients=clients,
+               requests_per_client=requests_per_client, timeout_s=timeout_s)
+    after = _plan_counts(fleet)
     hits = after[0] - before[0]
     planned = hits + (after[1] - before[1])
-    return hits / planned if planned else 1.0
+    report.plan_hit_rate = hits / planned if planned else 1.0
 
 
 def _check_fleet_trace(report: FleetLoadReport, fleet: Fleet,
@@ -305,20 +267,11 @@ def run_fleet_load(
     sizes = list(sizes) if sizes else [256, 384, 512, 640]
     cfg = fleet_config if fleet_config is not None else FleetConfig()
     specs = _traffic(shapes, sizes, seed)
-    report = FleetLoadReport(
-        shapes=shapes, clients=clients,
-        requests=clients * requests_per_client)
+    report = _new_report(shapes, clients, requests_per_client)
     with Fleet(cfg, ds_config=ds_config) as fleet:
-        report.workers_start = fleet.n_workers
-        if prime:
-            for spec in specs:
-                fleet.prime(spec.ops, spec.array)
-        plans0 = _plan_counts(fleet)
-        latencies = _drive(fleet, specs, report, clients=clients,
-                           requests_per_client=requests_per_client,
-                           timeout_s=timeout_s)
-        report.plan_hit_rate = _hit_rate_delta(plans0,
-                                               _plan_counts(fleet))
+        _timed_window(fleet, specs, report, clients=clients,
+                      requests_per_client=requests_per_client,
+                      timeout_s=timeout_s, prime=prime)
         report.workers_peak = max(report.workers_start, fleet.n_workers)
         report.workers_end = fleet.n_workers
         stats = fleet.stats()
@@ -327,12 +280,6 @@ def run_fleet_load(
             report.stats = stats
         if trace_out is not None and fleet.tracing:
             _check_fleet_trace(report, fleet, Path(trace_out))
-    latencies.sort()
-    report.latency_p50_ms = _percentile(latencies, 0.50)
-    report.latency_p95_ms = _percentile(latencies, 0.95)
-    report.latency_p99_ms = _percentile(latencies, 0.99)
-    report.throughput_rps = (report.completed / report.wall_s
-                             if report.wall_s > 0 else 0.0)
     return report
 
 
@@ -372,23 +319,13 @@ def run_fleet_check(
             seed=seed),
     )
     specs = _traffic(shapes, sizes, seed)
-    report = FleetLoadReport(
-        shapes=shapes, clients=clients,
-        requests=clients * requests_per_client)
+    report = _new_report(shapes, clients, requests_per_client)
     try:
         with Fleet(cfg) as fleet:
-            report.workers_start = fleet.n_workers
-
             # Phase 1: healthy traffic (correctness, skew, hit rate).
-            for spec in specs:
-                fleet.prime(spec.ops, spec.array)
-            plans0 = _plan_counts(fleet)
-            latencies = _drive(
-                fleet, specs, report, clients=clients,
-                requests_per_client=requests_per_client,
-                timeout_s=timeout_s)
-            report.plan_hit_rate = _hit_rate_delta(plans0,
-                                                   _plan_counts(fleet))
+            _timed_window(fleet, specs, report, clients=clients,
+                          requests_per_client=requests_per_client,
+                          timeout_s=timeout_s)
             if report.failed:
                 report.errors.append(
                     f"{report.failed} requests failed during the "
@@ -408,8 +345,6 @@ def run_fleet_check(
                 decision = fleet.autoscale_tick()
                 for fut in futures:
                     fut.result(timeout=timeout_s)
-                    report.completed += 1
-                report.requests += len(futures)
                 if decision == "up":
                     grew = True
                     break
@@ -436,14 +371,11 @@ def run_fleet_check(
                 deadline_ms=None, prime=True)
             fleet.set_fault(fault)
             for _ in range(cfg.serve.breaker_threshold * 3):
-                try:
+                # A failed probe is fine: its job is to trip the breaker.
+                with contextlib.suppress(ServeError):
                     fleet.submit_chain(
                         incident_spec.ops,
                         incident_spec.array).result(timeout=timeout_s)
-                    report.completed += 1
-                except ServeError:
-                    report.failed += 1
-                report.requests += 1
             fleet.set_fault(None)
 
             # Phase 5: distributed-tracing acceptance — merged trace,
@@ -482,13 +414,6 @@ def run_fleet_check(
     finally:
         if tmp is not None:
             tmp.cleanup()
-
-    latencies.sort()
-    report.latency_p50_ms = _percentile(latencies, 0.50)
-    report.latency_p95_ms = _percentile(latencies, 0.95)
-    report.latency_p99_ms = _percentile(latencies, 0.99)
-    report.throughput_rps = (report.completed / report.wall_s
-                             if report.wall_s > 0 else 0.0)
     return report
 
 

@@ -29,7 +29,7 @@ fields)``                 flight ring (makes worker bundles replayable)
 ``("clock", token, t)``   clock-calibration probe → ``("ack", wid,
                           token, (recv_us, send_us))`` on the worker
                           clock (NTP-style; see repro.obs.distrib)
-``("trace", token)``      → ``("ack", wid, token, span_ring_snapshot)``
+``("trace", token)``      → ``("ack", wid, token, flight_span_dicts)``
 ``("bundle", token)``     → ``("ack", wid, token, {"spans": ...,
                           "events": ..., "incidents": ...})`` — this
                           worker's flight ring for a fleet-wide
@@ -46,53 +46,24 @@ thread — micro-batching inside each fleet worker keeps working exactly
 as in the single-process serve tier.
 
 When fleet tracing is on (``FleetConfig.trace != "off"``), the worker
-captures ``t0_ns`` as its very first act, installs a tracer sharing
+captures ``t0_ns`` as its very first act and installs a tracer sharing
 that epoch (so every span, control timestamp and clock-probe reply sits
-on **one** worker clock) plus a bounded :class:`~repro.obs.distrib.
-SpanRing`, and the worker's flight recorder notifies the router of
-every local incident dump via ``("incident", wid, trigger, path,
-reason)`` so the front door can gather a fleet-wide bundle.
+on **one** worker clock).  Completed spans land in the server's
+:class:`~repro.obs.flight.FlightRecorder` ring, the only span sink in
+the worker; the ``trace``/``bundle``/``drain`` replies snapshot it.
+The flight recorder also notifies the router of every local incident
+dump via ``("incident", wid, trigger, path, reason)`` so the front door
+can gather a fleet-wide bundle.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 
 import numpy as np
 
-from repro.errors import LaunchError
-
-__all__ = ["worker_main", "MutableFaultInjector"]
-
-
-class MutableFaultInjector:
-    """Server ``fault_hook`` whose mode can be flipped at runtime by a
-    ``("fault", ...)`` control message: ``None`` (healthy), ``"always"``
-    or a 0..1 per-batch probability (deterministic given the seed)."""
-
-    def __init__(self, mode=None, seed: int = 0) -> None:
-        self.mode = mode
-        self._rng = np.random.default_rng(seed)
-        self._lock = threading.Lock()
-        self.injected = 0
-
-    def __call__(self, batch) -> None:
-        with self._lock:
-            mode = self.mode
-            if mode is None:
-                return
-            if mode == "always":
-                hit = True
-            else:
-                hit = bool(self._rng.random() < float(mode))
-            if hit:
-                self.injected += 1
-                count = self.injected
-        if hit:
-            raise LaunchError(
-                f"injected fault #{count} (fleet chaos hook)")
+__all__ = ["worker_main"]
 
 
 def _respond(outbox, worker_id: str, rid: int, future, shm,
@@ -128,33 +99,32 @@ def _respond(outbox, worker_id: str, rid: int, future, shm,
 
 
 def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
-                device=None, trace_mode=None,
-                trace_capacity: int = 4096) -> None:
+                device=None, trace_mode=None) -> None:
     """Run one fleet worker until drained.  This is the forked child's
     entire life; it never returns control to the caller's code."""
     # The worker clock epoch: captured before anything else so the
-    # tracer, the span ring and every control-message timestamp share
-    # one microsecond origin — the thing the router calibrates against.
+    # tracer and every control-message timestamp share one microsecond
+    # origin — the thing the router calibrates against.
     t0_ns = time.perf_counter_ns()
 
     def now_us() -> float:
         return (time.perf_counter_ns() - t0_ns) / 1e3
 
     from repro.fleet.transport import attach_payload, revive_ops
+    from repro.serve.loadgen import MutableFaultInjector
     from repro.serve.server import Server
 
-    ring = None
     if trace_mode and trace_mode != "off":
         from repro import obs as _obs
-        from repro.obs.distrib import SpanRing, TraceContext
+        from repro.obs.distrib import TraceContext
         from repro.obs.tracer import Tracer
 
-        # retain=False: the ring is the only span consumer, so the
-        # tracer must not also accumulate every span for the life of
-        # the worker — that is both unbounded memory on a long-running
-        # server and measurable GC pressure on the traced hot path.
+        # retain=False: the flight ring is the only span consumer, so
+        # the tracer must not also accumulate every span for the life
+        # of the worker — that is both unbounded memory on a
+        # long-running server and measurable GC pressure on the traced
+        # hot path.
         _obs.install(Tracer(trace_mode, t0_ns=t0_ns, retain=False))
-        ring = SpanRing(trace_capacity).install()
     else:
         TraceContext = None  # noqa: N806 - sentinel for the req path
 
@@ -174,11 +144,9 @@ def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
     outbox.put(("up", worker_id, server.config.num_workers))
 
     def ring_snapshot():
-        if ring is not None:
-            return ring.snapshot()
-        if server.flight is not None:
-            return server.flight.span_dicts()
-        return []
+        if server.flight is None:
+            return []
+        return server.flight.span_dicts()
 
     draining = False
     while not draining:

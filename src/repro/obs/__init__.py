@@ -28,7 +28,6 @@ the simulator can depend on ``repro.obs`` without cycles.
 
 from repro.obs.distrib import (
     ClockSync,
-    SpanRing,
     TraceContext,
     calibrate,
     merge_fleet_trace,
@@ -82,6 +81,6 @@ __all__ = [
     "chrome_trace_events", "export_chrome_trace", "export_jsonl",
     "validate_chrome_trace",
     "FlightRecorder",
-    "TraceContext", "SpanRing", "ClockSync", "calibrate",
+    "TraceContext", "ClockSync", "calibrate",
     "merge_fleet_trace", "span_to_dict",
 ]

@@ -384,6 +384,10 @@ def _analyze_fleet_requests(procs: Dict[int, _Process]) -> List[dict]:
                 continue
             seg = sp.name[len("serve."):]
             segs[seg] = segs.get(seg, 0.0) + sp.dur
+        if "route" not in segs:
+            # A one-lane incident bundle's own serve.request (a traced
+            # worker's ring), not one the router synthesized.
+            continue
         complete = all(seg in segs for seg in segments)
         covered = sum(segs.get(seg, 0.0) for seg in segments)
         wall = root.dur

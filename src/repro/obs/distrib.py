@@ -1,5 +1,5 @@
 """Distributed tracing across process boundaries: trace-context
-propagation, per-worker span rings, clock-offset calibration, and the
+propagation, span serialization, clock-offset calibration, and the
 merger producing one clock-aligned fleet timeline.
 
 The fleet tier (PR 9) made execution multi-process, which broke the
@@ -11,13 +11,11 @@ module restores the end-to-end view with four pieces:
   ``request_id`` triple that rides the shared-memory transport's
   ``meta`` dict (and the stream pool's fork handoff), so spans emitted
   in a worker can be parented under the router's ``serve.request``;
-* :class:`SpanRing` — a bounded ring of completed spans filled through
-  the tracer's span-sink hook (one deque append on the hot path;
-  ``snapshot()`` serializes lazily into the small dicts that cross the
-  process boundary).  The front door collects snapshots on response,
-  drain, or incident, and the snapshot-not-drain semantics mean a
-  mid-drain collection can never lose a completed span — the merger
-  dedupes by ``span_id`` instead;
+* :func:`span_to_dict` — the small JSON-safe dict a completed span
+  crosses the process boundary as.  Each worker's spans live in its
+  server's :class:`~repro.obs.flight.FlightRecorder` ring, which
+  serializes only when the front door collects a snapshot (on
+  response, drain, or incident);
 * :func:`calibrate` / :class:`ClockSync` — an NTP-style four-timestamp
   handshake over the fleet's control queues.  ``CLOCK_MONOTONIC`` is
   process-shared on Linux but each tracer's microsecond origin is its
@@ -36,17 +34,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import deque
 from pathlib import Path
-from typing import (Deque, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.export import _sanitize, _track_sort_key
-from repro.obs.tracer import (Span, add_span_sink, new_span_id,
-                              new_trace_id, remove_span_sink)
+from repro.obs.tracer import Span, new_span_id, new_trace_id
 
 __all__ = [
-    "TraceContext", "SpanRing", "span_to_dict",
+    "TraceContext", "span_to_dict",
     "ClockSync", "calibrate",
     "merge_fleet_trace", "router_process_name", "worker_process_name",
 ]
@@ -93,7 +88,7 @@ class TraceContext:
                    request_id=d.get("request_id"))
 
 
-# -- span serialization and the per-worker ring --------------------------------
+# -- span serialization --------------------------------------------------------
 
 
 def span_to_dict(sp: Span) -> dict:
@@ -110,64 +105,6 @@ def span_to_dict(sp: Span) -> dict:
         "args": _sanitize(dict(sp.args)) if sp.args else {},
         "span_id": sp.span_id or new_span_id(),
     }
-
-
-class SpanRing:
-    """Bounded ring of completed spans, filled via the tracer's
-    span-sink hook; serialization to JSON-safe dicts is deferred to
-    :meth:`snapshot`.
-
-    ``snapshot()`` (not drain) is the collection primitive: the front
-    door may collect on response, on drain, and on incident, possibly
-    concurrently with new spans completing — every reader sees every
-    completed span still in the window, and the merger dedupes by
-    ``span_id``.  One ``deque.append`` per completed span keeps the
-    recording overhead inside the tracing-on budget.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = int(capacity)
-        self._spans: Deque[dict] = deque(maxlen=self.capacity)
-        self._installed = False
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def record_span(self, sp: Span) -> None:
-        """Span-sink callback: one bounded deque append, nothing else
-        (atomic under CPython, so no lock on the hot path).  A completed
-        :class:`Span` is immutable for our purposes, so serialization
-        waits for :meth:`snapshot` — collection is rare, span completion
-        is the recorder-on hot path."""
-        self._spans.append(sp)
-
-    def add(self, span_dict: dict) -> None:
-        """Append an already-serialized span (router-side synthesis)."""
-        self._spans.append(dict(span_dict))
-
-    def snapshot(self) -> List[dict]:
-        """Every span currently in the window (never destructive),
-        serialized to JSON-safe, queue-picklable dicts."""
-        items = list(self._spans)
-        out: List[dict] = []
-        for it in items:
-            if isinstance(it, dict):
-                out.append(dict(it, args=_sanitize(it["args"]))
-                           if it["args"] else dict(it))
-            else:
-                out.append(span_to_dict(it))
-        return out
-
-    def install(self) -> "SpanRing":
-        if not self._installed:
-            add_span_sink(self.record_span)
-            self._installed = True
-        return self
-
-    def uninstall(self) -> None:
-        if self._installed:
-            remove_span_sink(self.record_span)
-            self._installed = False
 
 
 # -- clock calibration ---------------------------------------------------------

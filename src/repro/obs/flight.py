@@ -13,18 +13,30 @@ Two feeds fill the ring:
 
 * **spans** — when a tracer is active, every completed span arrives via
   the :func:`repro.obs.tracer.add_span_sink` hook (the recorder stores
-  the span object; one ``deque.append`` per span);
+  the span object; one ``deque.append`` per span, serialization waits
+  for a snapshot).  A fleet router, which has no tracer of its own,
+  appends the span dicts it synthesizes with :meth:`~FlightRecorder.add`
+  instead;
 * **events** — layers call :meth:`FlightRecorder.record_event` directly
   (serve admission/dispatch/completion, launch registration), which
   works with *no* tracer installed — this is the cheap always-on path
   the serve layer relies on.
 
+The same ring is a fleet worker's span ring: the front door collects
+:meth:`~FlightRecorder.span_dicts` snapshots on response, drain or
+incident.  Snapshots are never destructive, so a collection racing new
+spans cannot lose one; the merger dedupes by ``span_id`` instead.
+
 :meth:`dump` snapshots the ring into a timestamped **incident bundle**:
-a directory holding ``trace.json`` (Chrome-trace of the ringed spans,
-openable in Perfetto) and ``manifest.json`` (trigger, recent events,
-metrics registry snapshot, active ``DSConfig``/``ServeConfig``).
-:meth:`maybe_dump` adds per-trigger rate limiting so a failure storm
-produces one bundle per cooldown window, not thousands.
+a directory holding ``trace.json`` (Chrome trace of the ringed spans
+from :func:`repro.obs.distrib.merge_fleet_trace`, openable in Perfetto)
+and ``manifest.json`` (trigger, recent events, metrics registry
+snapshot, active ``DSConfig``/``ServeConfig``).  A single process's
+bundle is the merger's one-lane case; a fleet router passes every
+worker's ring and gets one clock-aligned lane per worker.  This module
+is the only writer of the bundle format.  :meth:`maybe_dump` adds
+per-trigger rate limiting so a failure storm produces one bundle per
+cooldown window, not thousands.
 """
 
 from __future__ import annotations
@@ -37,7 +49,8 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
-from repro.obs.export import _sanitize, _track_sort_key
+from repro.obs.distrib import merge_fleet_trace, span_to_dict
+from repro.obs.export import _sanitize
 from repro.obs.tracer import Span, add_span_sink, remove_span_sink
 
 __all__ = ["FlightRecorder", "TRIGGERS"]
@@ -80,8 +93,8 @@ class FlightRecorder:
 
     The optional :attr:`on_dump` callback — ``fn(trigger, bundle_path,
     reason)`` — fires after every bundle is written.  A fleet worker
-    sets it to notify the front door, which then gathers *every*
-    worker's flight ring into one fleet-wide incident bundle.
+    sets it to notify the front door, whose own recorder then gathers
+    *every* worker's flight ring into one fleet-wide incident bundle.
     """
 
     def __init__(self, capacity: int = 4096, *,
@@ -90,7 +103,7 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self.incident_dir = Path(incident_dir)
         self.cooldown_ms = float(cooldown_ms)
-        self._spans: Deque[Span] = deque(maxlen=self.capacity)
+        self._spans: Deque[Union[Span, dict]] = deque(maxlen=self.capacity)
         self._events: Deque[dict] = deque(maxlen=self.capacity)
         self._t0 = time.perf_counter_ns()
         self._last_dump_us: Dict[str, float] = {}
@@ -106,8 +119,13 @@ class FlightRecorder:
         return (time.perf_counter_ns() - self._t0) / 1e3
 
     def record_span(self, sp: Span) -> None:
-        """Span-sink callback: one bounded append, no copying."""
+        """Span-sink callback: one bounded append, no copying (atomic
+        under CPython, so no lock on the hot path)."""
         self._spans.append(sp)
+
+    def add(self, span_dict: dict) -> None:
+        """Append an already-serialized span (router-side synthesis)."""
+        self._spans.append(dict(span_dict))
 
     def record_event(self, event: str, **fields) -> None:
         """Record a structured event with the recorder's own clock —
@@ -140,65 +158,68 @@ class FlightRecorder:
 
     # -- snapshots ------------------------------------------------------------
 
-    def spans(self) -> List[Span]:
+    def spans(self) -> List[Union[Span, dict]]:
         return list(self._spans)
 
     def span_dicts(self) -> List[dict]:
-        """The ringed spans as JSON-safe dicts (the form that crosses a
-        process boundary when the fleet gathers worker rings)."""
-        from repro.obs.distrib import span_to_dict
-        return [span_to_dict(sp) for sp in self._spans]
+        """Every span in the window (never destructive) as JSON-safe
+        dicts — the form that crosses a process boundary when the fleet
+        collects worker rings."""
+        out: List[dict] = []
+        for sp in list(self._spans):
+            if isinstance(sp, dict):
+                out.append(dict(sp, args=_sanitize(sp["args"]))
+                           if sp["args"] else dict(sp))
+            else:
+                out.append(span_to_dict(sp))
+        return out
 
     def events(self) -> List[dict]:
         return list(self._events)
 
-    def _chrome_doc(self, spans: List[Span]) -> dict:
-        """A minimal Chrome-trace document for the ringed spans: pid 0,
-        one tid per track, flat complete events (the viewer infers
-        nesting from the timestamps)."""
-        tracks = sorted({sp.track for sp in spans}, key=_track_sort_key)
-        tids = {track: i for i, track in enumerate(tracks)}
-        events: List[dict] = [
-            {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-             "args": {"name": "flight-recorder"}}]
-        for track, tid in tids.items():
-            events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                           "tid": tid, "args": {"name": track}})
-        for sp in spans:
-            end = sp.end_us if sp.end_us is not None else sp.start_us
-            ts = round(sp.start_us, 3)
-            events.append({
-                "name": sp.name, "cat": sp.cat, "ph": "X", "ts": ts,
-                "dur": max(0.0, round(end, 3) - ts),
-                "pid": 0, "tid": tids[sp.track],
-                "args": _sanitize(sp.args or {}),
-            })
-        return {"traceEvents": events, "displayTimeUnit": "ms",
-                "otherData": {"generator": "repro.obs.flight"}}
-
     # -- dumping --------------------------------------------------------------
 
-    def maybe_dump(self, trigger: str, **kwargs) -> Optional[Path]:
-        """Dump unless the same trigger fired within ``cooldown_ms``."""
+    def claim(self, trigger: str) -> bool:
+        """Open ``trigger``'s cooldown window; ``False`` when one is
+        still open (the same trigger fired within ``cooldown_ms``)."""
         with self._lock:
             now = self.now_us()
             last = self._last_dump_us.get(trigger)
             if last is not None and (now - last) / 1e3 < self.cooldown_ms:
-                return None
+                return False
             self._last_dump_us[trigger] = now
-        return self.dump(trigger, **kwargs)
+        return True
+
+    def maybe_dump(self, trigger: str, **kwargs) -> Optional[Path]:
+        """Dump unless the same trigger fired within ``cooldown_ms``."""
+        return self.dump(trigger, **kwargs) if self.claim(trigger) else None
 
     def dump(self, trigger: str, *, reason: str = "",
              metrics=None, ds_config=None, serve_config=None,
-             context: Optional[dict] = None) -> Path:
+             context: Optional[dict] = None,
+             workers: Optional[Dict[str, dict]] = None,
+             clock_syncs: Optional[Dict] = None, **fields) -> Path:
         """Write an incident bundle and return its directory.
 
         ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry`
         (or anything with ``to_dicts``); the config arguments accept
         the live ``DSConfig`` / ``ServeConfig`` dataclasses.
+
+        ``workers`` makes the bundle fleet-wide: ``{worker_id:
+        {"spans": [...], "events": [...]}}`` adds one process lane per
+        worker to ``trace.json``, shifted onto this recorder's clock by
+        ``clock_syncs``, and each worker's events to the manifest,
+        tagged with ``worker``.  ``fields`` are extra manifest keys
+        (the fleet's ``scope``, ``source_worker``, ``worker_bundle``).
         """
-        spans = self.spans()
+        spans = self.span_dicts()
         events = self.events()
+        worker_spans: Dict[str, List[dict]] = {}
+        for worker_id in sorted(workers or {}):
+            payload = workers[worker_id]
+            worker_spans[worker_id] = list(payload.get("spans") or [])
+            events.extend(dict(ev, worker=worker_id)
+                          for ev in payload.get("events") or [])
         with self._lock:
             self._seq += 1
             seq = self._seq
@@ -206,9 +227,8 @@ class FlightRecorder:
         bundle = self.incident_dir / f"incident-{stamp}-{seq:03d}-{trigger}"
         bundle.mkdir(parents=True, exist_ok=True)
 
-        doc = self._chrome_doc(spans)
-        (bundle / "trace.json").write_text(
-            json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n")
+        merge_fleet_trace(spans, worker_spans, clock_syncs=clock_syncs,
+                          path=bundle / "trace.json")
 
         manifest = {
             "kind": "repro-incident-bundle",
@@ -216,7 +236,8 @@ class FlightRecorder:
             "reason": reason,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "capacity": self.capacity,
-            "n_spans": len(spans),
+            "n_spans": len(spans) + sum(len(s)
+                                        for s in worker_spans.values()),
             "n_events": len(events),
             "events": _sanitize(events),
             "metrics": (_sanitize(metrics.to_dicts())
@@ -224,6 +245,7 @@ class FlightRecorder:
             "ds_config": _config_dict(ds_config),
             "serve_config": _config_dict(serve_config),
             "context": _sanitize(context or {}),
+            **_sanitize(fields),
         }
         (bundle / "manifest.json").write_text(
             json.dumps(manifest, indent=1, sort_keys=True,

@@ -298,7 +298,7 @@ class Tracer:
     retain:
         When ``False``, finished top-level spans are NOT accumulated on
         the tracer (and instants are kept in a bounded window): the
-        registered span sinks — a fleet worker's :class:`SpanRing` —
+        registered span sinks — a fleet worker's flight recorder —
         are the only consumers.  This keeps a long-running traced
         server's memory bounded and its per-span cost to the sink
         append; ``tracks``/``roots``/``iter_spans`` then only see spans

@@ -25,18 +25,13 @@ The knobs fall into three groups:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.config import (EnvTable, check_positive, config_from_env,
+                          env_float, env_int)
+
 __all__ = ["ServeConfig", "DEFAULT_SERVE_CONFIG"]
-
-
-def _positive(name: str, value, *, zero_ok: bool = False) -> None:
-    bound = 0 if zero_ok else 1
-    if value < bound:
-        raise ValueError(
-            f"ServeConfig.{name} must be >= {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,21 +107,25 @@ class ServeConfig:
     shard_workers: int = 0
 
     def __post_init__(self) -> None:
-        _positive("max_batch_size", int(self.max_batch_size))
-        _positive("max_queue_depth", int(self.max_queue_depth))
-        _positive("num_workers", int(self.num_workers))
-        _positive("breaker_threshold", int(self.breaker_threshold))
-        _positive("max_wait_ms", float(self.max_wait_ms), zero_ok=True)
-        _positive("max_retries", int(self.max_retries), zero_ok=True)
-        _positive("retry_backoff_ms", float(self.retry_backoff_ms),
-                  zero_ok=True)
-        _positive("breaker_cooldown_ms", float(self.breaker_cooldown_ms),
-                  zero_ok=True)
-        _positive("flight_capacity", int(self.flight_capacity),
-                  zero_ok=True)
-        _positive("incident_cooldown_ms", float(self.incident_cooldown_ms),
-                  zero_ok=True)
-        _positive("shard_workers", int(self.shard_workers), zero_ok=True)
+        check_positive(self, "max_batch_size", int(self.max_batch_size))
+        check_positive(self, "max_queue_depth", int(self.max_queue_depth))
+        check_positive(self, "num_workers", int(self.num_workers))
+        check_positive(self, "breaker_threshold",
+                       int(self.breaker_threshold))
+        check_positive(self, "max_wait_ms", float(self.max_wait_ms),
+                       zero_ok=True)
+        check_positive(self, "max_retries", int(self.max_retries),
+                       zero_ok=True)
+        check_positive(self, "retry_backoff_ms",
+                       float(self.retry_backoff_ms), zero_ok=True)
+        check_positive(self, "breaker_cooldown_ms",
+                       float(self.breaker_cooldown_ms), zero_ok=True)
+        check_positive(self, "flight_capacity", int(self.flight_capacity),
+                       zero_ok=True)
+        check_positive(self, "incident_cooldown_ms",
+                       float(self.incident_cooldown_ms), zero_ok=True)
+        check_positive(self, "shard_workers", int(self.shard_workers),
+                       zero_ok=True)
         if (self.default_deadline_ms is not None
                 and float(self.default_deadline_ms) <= 0):
             raise ValueError(
@@ -156,66 +155,26 @@ class ServeConfig:
         :meth:`repro.config.DSConfig.from_env` — ``REPRO_SHARD_WORKERS``.
         Malformed values raise :class:`ValueError` naming the variable.
         """
-        env = os.environ if environ is None else environ
+        return config_from_env(cls, _ENV_TABLE, environ)
 
-        def _get(name):
-            raw = env.get(name, "")
-            return raw.strip() or None
 
-        def _str(name):
-            return _get(name)
-
-        def _int(name):
-            raw = _get(name)
-            try:
-                return int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{name}={raw!r}: expected an integer") from None
-
-        def _float(name):
-            raw = _get(name)
-            try:
-                return float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{name}={raw!r}: expected a number") from None
-
-        kwargs = {}
-        spec = [
-            ("REPRO_SERVE_BATCH_SIZE", "max_batch_size", _int),
-            ("REPRO_SERVE_WAIT_MS", "max_wait_ms", _float),
-            ("REPRO_SERVE_QUEUE_DEPTH", "max_queue_depth", _int),
-            ("REPRO_SERVE_WORKERS", "num_workers", _int),
-            ("REPRO_SERVE_DEADLINE_MS", "default_deadline_ms", _float),
-            ("REPRO_SERVE_RETRIES", "max_retries", _int),
-            ("REPRO_SERVE_BACKOFF_MS", "retry_backoff_ms", _float),
-            ("REPRO_SERVE_BREAKER_THRESHOLD", "breaker_threshold", _int),
-            ("REPRO_SERVE_BREAKER_COOLDOWN_MS", "breaker_cooldown_ms",
-             _float),
-            ("REPRO_SERVE_SEED", "seed", _int),
-            ("REPRO_SERVE_FLIGHT_CAPACITY", "flight_capacity", _int),
-            ("REPRO_SERVE_INCIDENT_DIR", "incident_dir", _str),
-            ("REPRO_SERVE_INCIDENT_COOLDOWN_MS", "incident_cooldown_ms",
-             _float),
-            ("REPRO_SERVE_SLO_MS", "slo_ms", _float),
-            ("REPRO_SERVE_EVENT_LOG", "event_log", _str),
-            ("REPRO_SHARD_WORKERS", "shard_workers", _int),
-        ]
-        for var, field_name, parse in spec:
-            if _get(var):
-                kwargs[field_name] = parse(var)
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            # Re-tag the field-level message with the variable name the
-            # bad value came from, so operators can fix the right knob.
-            field_to_var = {f: v for v, f, _ in spec}
-            for field_name, var in field_to_var.items():
-                if f"ServeConfig.{field_name}" in str(exc):
-                    raise ValueError(
-                        f"{var}: {exc}") from None
-            raise
-
+_ENV_TABLE: EnvTable = (
+    ("REPRO_SERVE_BATCH_SIZE", "max_batch_size", env_int),
+    ("REPRO_SERVE_WAIT_MS", "max_wait_ms", env_float),
+    ("REPRO_SERVE_QUEUE_DEPTH", "max_queue_depth", env_int),
+    ("REPRO_SERVE_WORKERS", "num_workers", env_int),
+    ("REPRO_SERVE_DEADLINE_MS", "default_deadline_ms", env_float),
+    ("REPRO_SERVE_RETRIES", "max_retries", env_int),
+    ("REPRO_SERVE_BACKOFF_MS", "retry_backoff_ms", env_float),
+    ("REPRO_SERVE_BREAKER_THRESHOLD", "breaker_threshold", env_int),
+    ("REPRO_SERVE_BREAKER_COOLDOWN_MS", "breaker_cooldown_ms", env_float),
+    ("REPRO_SERVE_SEED", "seed", env_int),
+    ("REPRO_SERVE_FLIGHT_CAPACITY", "flight_capacity", env_int),
+    ("REPRO_SERVE_INCIDENT_DIR", "incident_dir", str),
+    ("REPRO_SERVE_INCIDENT_COOLDOWN_MS", "incident_cooldown_ms", env_float),
+    ("REPRO_SERVE_SLO_MS", "slo_ms", env_float),
+    ("REPRO_SERVE_EVENT_LOG", "event_log", str),
+    ("REPRO_SHARD_WORKERS", "shard_workers", env_int),
+)
 
 DEFAULT_SERVE_CONFIG = ServeConfig()

@@ -4,6 +4,7 @@ construction that names the offending variable."""
 import pytest
 
 from repro.fleet.config import DEFAULT_FLEET_CONFIG, FleetConfig
+from repro.serve.config import ServeConfig
 
 
 class TestValidation:
@@ -24,6 +25,13 @@ class TestValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
             FleetConfig(n_workers=0)
+
+    def test_tracing_needs_the_flight_ring(self):
+        # Worker spans live in the servers' flight recorders.
+        with pytest.raises(ValueError, match="flight_capacity"):
+            FleetConfig(trace="spans", serve=ServeConfig(flight_capacity=0))
+        assert FleetConfig(serve=ServeConfig(flight_capacity=0)).trace \
+            == "off"
 
     def test_replace_returns_validated_copy(self):
         cfg = FleetConfig().replace(n_workers=3, max_workers=3)
@@ -67,6 +75,21 @@ class TestFromEnv:
     def test_out_of_range_value_names_the_variable(self):
         with pytest.raises(ValueError, match="REPRO_FLEET_VNODES"):
             FleetConfig.from_env({"REPRO_FLEET_VNODES": "0"})
+
+    def test_cross_field_error_names_the_variable(self):
+        # The pool-bounds message names three fields; the one that came
+        # from the environment must be named with its raw value.
+        with pytest.raises(ValueError, match=r"^REPRO_FLEET_WORKERS='9': "
+                                             r"FleetConfig needs min_workers"):
+            FleetConfig.from_env({"REPRO_FLEET_WORKERS": "9"})
+        with pytest.raises(ValueError) as exc:
+            FleetConfig.from_env({"REPRO_FLEET_WORKERS": "3",
+                                  "REPRO_FLEET_MAX_WORKERS": "2",
+                                  "REPRO_FLEET_VNODES": "8"})
+        msg = str(exc.value)
+        assert "REPRO_FLEET_WORKERS='3'" in msg
+        assert "REPRO_FLEET_MAX_WORKERS='2'" in msg
+        assert "REPRO_FLEET_VNODES" not in msg
 
     def test_embedded_serve_config_reads_repro_serve_vars(self):
         cfg = FleetConfig.from_env({"REPRO_SERVE_BATCH_SIZE": "16"})

@@ -168,6 +168,22 @@ class TestSources:
         assert failure["request_id"] == 11
         assert failure["phase"] == "execute"
 
+    def test_traced_worker_bundle_lists_no_fleet_requests(self, tmp_path):
+        # A traced fleet worker's serve.request carries the router's
+        # trace id; its one-lane bundle still holds no routed request.
+        fr = FlightRecorder(capacity=8, incident_dir=tmp_path)
+        fr.add({"name": "serve.request", "cat": "serve",
+                "track": "serve:req1", "ts_us": 0.0, "dur_us": 5.0,
+                "args": {"trace_id": "t1", "request_id": 1},
+                "span_id": "s1"})
+        fr.add({"name": "serve.execute", "cat": "serve",
+                "track": "serve:req1", "ts_us": 1.0, "dur_us": 3.0,
+                "args": {}, "span_id": "s2"})
+        report = analyze(str(fr.dump("manual")))
+        assert report["fleet_requests"] == []
+        (req,) = report["processes"][0]["requests"]
+        assert req["stages"] == {"execute": 3.0}
+
     def test_missing_path_is_an_error(self, tmp_path):
         from repro.errors import ReproError
         with pytest.raises(ReproError):

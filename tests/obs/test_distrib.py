@@ -1,5 +1,6 @@
-"""Unit tests for repro.obs.distrib: clock calibration, span rings,
-fork-safe span ids, and the fleet trace merger."""
+"""Unit tests for repro.obs.distrib: clock calibration, the flight
+recorder as a worker's span ring, fork-safe span ids, and the fleet
+trace merger."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.obs.distrib import (ClockSync, SpanRing, TraceContext,
-                               calibrate, merge_fleet_trace,
-                               router_process_name, span_to_dict,
-                               worker_process_name)
+from repro.obs.distrib import (ClockSync, TraceContext, calibrate,
+                               merge_fleet_trace, router_process_name,
+                               span_to_dict, worker_process_name)
 from repro.obs.export import validate_chrome_trace
+from repro.obs.flight import FlightRecorder
 from repro.obs.tracer import Span, new_span_id
 
 
@@ -87,7 +88,7 @@ def test_trace_context_roundtrip_and_child():
     assert TraceContext.from_dict({"parent_span_id": "x"}) is None
 
 
-# -- span ring -----------------------------------------------------------------
+# -- the flight ring as a span ring --------------------------------------------
 
 
 def _span(name, start, end, track="worker:0", args=None):
@@ -97,32 +98,28 @@ def _span(name, start, end, track="worker:0", args=None):
 
 
 def test_span_ring_snapshot_is_not_destructive():
-    ring = SpanRing(capacity=8)
+    ring = FlightRecorder(capacity=8)
     ring.record_span(_span("a", 0.0, 1.0))
-    ring.record_span(_span("b", 1.0, 2.0))
-    first = ring.snapshot()
-    second = ring.snapshot()
+    ring.add({"name": "b", "cat": "serve", "track": "serve:req1",
+              "ts_us": 1.0, "dur_us": 1.0, "args": {"ops": "x"},
+              "span_id": "router-1"})
+    first = ring.span_dicts()
+    second = ring.span_dicts()
     assert [d["name"] for d in first] == ["a", "b"]
-    assert [d["name"] for d in second] == ["a", "b"]
-    assert len(ring) == 2
-
-
-def test_span_ring_bounded():
-    ring = SpanRing(capacity=4)
-    for k in range(10):
-        ring.record_span(_span(f"s{k}", float(k), float(k) + 0.5))
-    names = [d["name"] for d in ring.snapshot()]
-    assert names == ["s6", "s7", "s8", "s9"]
+    assert first == second
+    assert first[1]["span_id"] == "router-1"
+    assert first[0]["span_id"] == second[0]["span_id"]
+    assert len(ring.spans()) == 2
 
 
 def test_mid_drain_collection_loses_no_spans():
     """A collection racing new spans must never lose a completed span:
     snapshots overlap, and the merger dedupes by span_id."""
-    ring = SpanRing(capacity=64)
+    ring = FlightRecorder(capacity=64)
     ring.record_span(_span("early", 0.0, 1.0))
-    mid_drain = ring.snapshot()          # e.g. collected on response
+    mid_drain = ring.span_dicts()        # e.g. collected on response
     ring.record_span(_span("late", 2.0, 3.0))
-    final = ring.snapshot()              # e.g. collected on incident
+    final = ring.span_dicts()            # e.g. collected on incident
     doc = merge_fleet_trace([], {"w0": mid_drain + final})
     merged = [ev["name"] for ev in doc["traceEvents"]
               if ev.get("ph") == "X"]

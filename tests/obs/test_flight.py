@@ -115,6 +115,39 @@ class TestDump:
                   if e["event"] == "serve.request_failed"]
         assert failed and failed[0]["request_id"] == 3
 
+    def test_fleet_wide_bundle_adds_a_lane_per_worker(self, tmp_path):
+        fr = FlightRecorder(capacity=8, incident_dir=tmp_path)
+        fr.add({"name": "serve.request", "cat": "serve",
+                "track": "serve:req1", "ts_us": 0.0, "dur_us": 10.0,
+                "args": {}, "span_id": "r1"})
+        executed = {"name": "serve.execute", "cat": "serve",
+                    "track": "serve:req1", "ts_us": 1.0, "dur_us": 2.0,
+                    "args": {}, "span_id": "w1"}
+        bundle = fr.dump(
+            "breaker_open", reason="2 consecutive failures",
+            workers={"w0": {"spans": [executed],
+                            "events": [{"event": "serve.admit",
+                                        "ts_us": 1.0}]},
+                     "w1": {"spans": []}},
+            clock_syncs={"w0": {"offset_us": 5.0, "uncertainty_us": 1.0,
+                                "rtt_us": 2.0, "n_samples": 3}},
+            scope="fleet", source_worker="w0")
+        doc = json.loads((bundle / "trace.json").read_text())
+        validate_chrome_trace(doc)
+        lanes = {ev["args"]["name"] for ev in doc["traceEvents"]
+                 if ev["name"] == "process_name"}
+        assert lanes == {"router", "worker w0", "worker w1"}
+        (ev,) = [ev for ev in doc["traceEvents"]
+                 if ev["name"] == "serve.execute"]
+        assert ev["ts"] == 6.0  # shifted onto the router clock
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["kind"] == "repro-incident-bundle"
+        assert (manifest["scope"], manifest["source_worker"]) == \
+            ("fleet", "w0")
+        assert manifest["n_spans"] == 2
+        assert manifest["events"] == [
+            {"event": "serve.admit", "ts_us": 1.0, "worker": "w0"}]
+
     def test_maybe_dump_rate_limits_per_trigger(self, tmp_path):
         fr = FlightRecorder(capacity=4, incident_dir=tmp_path,
                             cooldown_ms=60_000.0)

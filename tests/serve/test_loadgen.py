@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve import ServeConfig, check_report, run_load
-from repro.serve.loadgen import LoadReport, make_shape
+from repro.serve.loadgen import LoadReport, make_shape, overhead_check
 
 _FAST = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=2,
                     breaker_threshold=2, breaker_cooldown_ms=5.0,
@@ -99,3 +99,78 @@ class TestCheckReport:
             check_report(r, faulted=True)
         r.degraded = 3
         check_report(r, faulted=True)
+
+
+class TestOverheadCheck:
+    """The recorder-on guard, driven by a stub run callback (no
+    servers, no forks)."""
+
+    @staticmethod
+    def _runs(throughputs, faults=None):
+        """A run callback replaying ``throughputs`` in call order and
+        logging each ``on`` flag; ``faults`` maps a call index to
+        report fields to set on that call's report."""
+        calls = []
+
+        def run(on):
+            i = len(calls)
+            calls.append(on)
+            report = LoadReport(shape="chain", clients=1, requests=1,
+                                completed=1,
+                                throughput_rps=throughputs[i])
+            for name, value in (faults or {}).get(i, {}).items():
+                setattr(report, name, value)
+            return report
+
+        return run, calls
+
+    def test_warmup_then_interleaved_pairs(self):
+        run, calls = self._runs([1.0] * 13)
+        result = overhead_check(run)
+        assert calls == [False] + [False, True] * 6
+        assert result["rounds"] == 6 and result["bound"] == 0.90
+        assert len(result["throughput_off_rps"]) == 6
+        assert len(result["pair_ratios"]) == 6
+
+    def test_warmup_is_excluded(self):
+        # A warmup far faster than every measured run would sink the
+        # ratios if it were counted.
+        run, _ = self._runs([1000.0] + [100.0, 95.0] * 6)
+        result = overhead_check(run)
+        assert result["throughput_off_rps"] == [100.0] * 6
+        assert result["ratio"] == pytest.approx(0.95)
+
+    def test_one_matched_pair_at_the_bound_passes(self):
+        # One off run caught a lucky window nothing else matched, so the
+        # ratio of per-mode bests misses the bound; one matched pair
+        # shows the recorder keeping up, which passes.
+        off = [200.0, 100.0, 100.0, 100.0, 100.0, 100.0]
+        on = [120.0, 95.0, 80.0, 80.0, 80.0, 80.0]
+        run, _ = self._runs([100.0] + [x for pair in zip(off, on)
+                                       for x in pair])
+        result = overhead_check(run)
+        assert max(on) / max(off) < 0.90
+        assert result["ratio"] == pytest.approx(0.95)
+
+    def test_per_mode_bests_at_the_bound_pass(self):
+        # The best on run holds 0.95 of the best off run; the pair that
+        # holds it can only do better, so the guard passes.
+        off = [100.0, 90.0, 100.0, 100.0, 100.0, 100.0]
+        on = [60.0, 95.0, 60.0, 60.0, 60.0, 60.0]
+        run, _ = self._runs([100.0] + [x for pair in zip(off, on)
+                                       for x in pair])
+        result = overhead_check(run)
+        assert max(on) / max(off) == pytest.approx(0.95)
+        assert result["ratio"] >= max(on) / max(off)
+
+    def test_every_pair_below_the_bound_fails(self):
+        run, _ = self._runs([100.0] + [100.0, 89.0] * 6)
+        with pytest.raises(ServeError, match="overhead check failed"):
+            overhead_check(run)
+
+    @pytest.mark.parametrize("field", ["failed", "wrong"])
+    def test_failed_or_wrong_run_fails(self, field):
+        run, calls = self._runs([100.0] * 13, faults={4: {field: 1}})
+        with pytest.raises(ServeError, match=f"1 {field}"):
+            overhead_check(run)
+        assert len(calls) == 5
