@@ -8,10 +8,6 @@ PYTHON ?= python
         stream-smoke fleet-smoke fleet-trace-overhead report figures \
         examples clean
 
-# Stamped into every BENCH_INDEX.json row so the trajectory report can
-# attribute each run to a commit.
-GIT_REV := $(shell git rev-parse --short HEAD 2>/dev/null)
-
 install:
 	pip install -e . || \
 	  echo "$(CURDIR)/src" > $$($(PYTHON) -c 'import site; print(site.getsitepackages()[0])')/repro-dev.pth
@@ -23,15 +19,15 @@ test-all:        ## everything, including the 1M-element slow tests
 	$(PYTHON) -m pytest tests/
 
 bench:           ## regenerate every figure/table + time the kernels (1M scale)
-	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-smoke:     ## one regular + one irregular benchmark, both backend tiers (per-tier rows in BENCH_*.json)
-	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m pytest \
+	$(PYTHON) -m pytest \
 	  benchmarks/bench_fig08_padding.py \
 	  benchmarks/bench_fig13_compaction.py --benchmark-only
 
 bench-full:      ## same, at the paper's 16M / 12000x11999 sizes
-	REPRO_BENCH_FULL=1 REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m pytest \
+	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest \
 	  benchmarks/ --benchmark-only
 
 bench-check:     ## compare fresh runs against committed BENCH_*.json baselines
@@ -50,24 +46,23 @@ serve-smoke:     ## serve layer: healthy + fault-injected loadgen, acceptance-ch
 	$(PYTHON) -m repro serve --shape chain --clients 4 --requests 20 --check
 	$(PYTHON) -m repro serve --shape compact --clients 4 --requests 10 \
 	  --fault always --check
-	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m pytest \
+	$(PYTHON) -m pytest \
 	  benchmarks/bench_serve_load.py --benchmark-only
 	$(PYTHON) -m pytest tests/serve -q
 
 stream-smoke:    ## out-of-core streaming: memmap 8x device capacity, compact->unique, sequential + pool, byte-checked
-	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m repro stream --check \
-	  --trace /tmp/repro_stream_smoke.json --bench-dir benchmarks/results
+	$(PYTHON) -m repro stream --check \
+	  --trace /tmp/repro_stream_smoke.json
 	$(PYTHON) -m repro analyze /tmp/repro_stream_smoke.json > /dev/null
 	$(PYTHON) -m pytest tests/stream -q
 
 fleet-smoke:     ## multi-process fleet: 3 workers, fault-injected loadgen, acceptance pass (incl. merged trace + fleet bundle) + CLI replay + analyze --check on the merged trace
 	rm -rf /tmp/repro_fleet_smoke_incidents
-	timeout 600 env REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m repro fleet \
+	timeout 600 $(PYTHON) -m repro fleet \
 	  --check --workers 3 --fault 0.5 \
 	  --incident-dir /tmp/repro_fleet_smoke_incidents \
 	  --trace-out /tmp/repro_fleet_smoke_trace.json \
-	  --stats-out /tmp/repro_fleet_smoke_stats.json \
-	  --bench-dir benchmarks/results
+	  --stats-out /tmp/repro_fleet_smoke_stats.json
 	$(PYTHON) -m repro analyze /tmp/repro_fleet_smoke_stats.json > /dev/null
 	timeout 120 $(PYTHON) -m repro analyze \
 	  /tmp/repro_fleet_smoke_trace.json --check > /dev/null
@@ -103,7 +98,7 @@ tune-smoke:      ## bounded autotuner sweeps, acceptance-checked, then serve fro
 	REPRO_BACKEND=vectorized $(PYTHON) -m repro serve --shape compact \
 	  --n 1024 --clients 2 --requests 8 \
 	  --tuning-db benchmarks/results/TUNING_DB.json --check
-	$(PYTHON) -m pytest tests/tune tests/analysis tests/obs/test_benchindex.py -q
+	$(PYTHON) -m pytest tests/tune tests/analysis -q
 
 report:          ## render the experiment-registry report from persisted artifacts
 	$(PYTHON) -m repro report -o benchmarks/results/REPORT.md

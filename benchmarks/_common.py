@@ -23,8 +23,6 @@ import os
 from pathlib import Path
 
 from repro.analysis import FigureData, render_figure
-from repro.obs.benchindex import append_rows, row_from_load_report, \
-    rows_from_report
 from repro.obs.benchrun import PARITY_FIELDS  # noqa: F401  (re-export)
 from repro.obs.benchrun import compare_backends as _compare_backends
 
@@ -63,19 +61,9 @@ def compare_backends(bench_id: str, run, *, min_speedup: float = None,
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{bench_id}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
-    # The trajectory keeps what the snapshot overwrites: one row per
-    # tier per run, tagged with the git rev the Makefile injects.
-    append_rows(RESULTS_DIR, rows_from_report(report))
     print(f"\n[{bench_id}] simulated {t_sim:.2f}s vs vectorized "
           f"{t_vec:.4f}s -> {report['speedup']:.0f}x ({path})")
     return report
-
-
-def record_serve_row(load_report, bench_id: str = "serve_load") -> None:
-    """Append one serve-layer row to the benchmark trajectory."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    append_rows(RESULTS_DIR,
-                [row_from_load_report(load_report, bench_id=bench_id)])
 
 
 def emit(fig_or_text, name: str) -> None:

@@ -17,7 +17,7 @@ The timed section is the healthy closed-loop run; its report feeds the
 emitted summary table (throughput, p50/p99 latency, batch shape).
 """
 
-from _common import ROUNDS, emit, record_serve_row
+from _common import ROUNDS, emit
 from repro.serve import ServeConfig, check_report
 from repro.serve.loadgen import run_load
 
@@ -30,7 +30,6 @@ LOAD = dict(shape="chain", clients=4, requests_per_client=15, n=512,
 def test_serve_load(benchmark):
     healthy = run_load(**LOAD)
     check_report(healthy)
-    record_serve_row(healthy)
 
     faulted = run_load(fault="always", **LOAD)
     check_report(faulted, faulted=True)

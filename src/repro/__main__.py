@@ -229,7 +229,7 @@ def main(argv=None) -> int:
               "bounded autotuning sweep; winners persist to the tuning DB "
               "(see docs/tuning.md)")
         print("  report [-o REPORT.md --html]   "
-              "markdown/HTML report over BENCH_*.json, BENCH_INDEX.json "
+              "markdown/HTML report over BENCH_*.json, LAYERS.json "
               "and TUNING_DB.json (see docs/tuning.md)")
         return 0
     if args.experiment == "devices":

@@ -5,7 +5,8 @@ Where :data:`repro.analysis.figures.FIGURES` maps figure ids to *model*
 generators (pure functions of the calibrated performance model), this
 registry maps **experiment names** to report-section generators that
 read what the harness actually persisted — ``BENCH_<id>.json``
-snapshots, the ``BENCH_INDEX.json`` trajectory, the autotuner's
+snapshots, the layer-cost benchmark's ``LAYERS.json`` (written by
+``benchmarks/layers/run.py --out``), the autotuner's
 ``TUNING_DB.json`` — and render one markdown section each.  ``python
 -m repro report`` walks the registry; every generator degrades to a
 "no data yet" stub when its artifact is missing, so the report always
@@ -26,6 +27,18 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = ["Section", "ReportContext", "EXPERIMENTS"]
 
+LAYERS_NAME = "LAYERS.json"
+LAYERS_KIND = "repro-layers-bench"
+
+#: The waterfall: each layer's per-op time, from the NumPy floor up to
+#: the workload's front door (per-layer metrics of the traced run).
+WATERFALL = ("reference.chain_us", "primitives.chain_us",
+             "dispatch.chain_us", "pipeline.run_us", "frontdoor.op_us")
+
+#: The end-to-end metrics, each a median over the untraced runs.
+END_TO_END = ("setup_s", "peak_rss_mb", "latency_p50_ms",
+              "throughput_meps")
+
 
 @dataclass(frozen=True)
 class Section:
@@ -43,7 +56,6 @@ class ReportContext:
     results_dir: Path = Path("benchmarks/results")
     tuning_db_path: Optional[Path] = None
     _bench: Optional[Dict[str, dict]] = field(default=None, repr=False)
-    _index: Optional[List[dict]] = field(default=None, repr=False)
 
     def bench_reports(self) -> Dict[str, dict]:
         """Every ``BENCH_<id>.json`` snapshot, keyed by figure id."""
@@ -60,16 +72,17 @@ class ReportContext:
             self._bench = out
         return self._bench
 
-    def index_rows(self) -> List[dict]:
-        """The append-only benchmark trajectory (oldest first)."""
-        if self._index is None:
-            from repro.obs.benchindex import load_rows
-
-            try:
-                self._index = load_rows(Path(self.results_dir))
-            except Exception:
-                self._index = []
-        return self._index
+    def layers(self) -> Optional[dict]:
+        """The layer-cost benchmark result (``LAYERS.json``), or
+        ``None`` if absent, unreadable or not such a document."""
+        try:
+            doc = json.loads(
+                (Path(self.results_dir) / LAYERS_NAME).read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+        if not isinstance(doc, dict) or doc.get("kind") != LAYERS_KIND:
+            return None
+        return doc
 
     def tuning_db(self):
         """The :class:`~repro.tune.db.TuningDB`, or ``None`` if absent."""
@@ -145,51 +158,41 @@ def fig13_backend_ladder(ctx: ReportContext) -> Section:
                    _md_table(rows))
 
 
-def bench_trajectory(ctx: ReportContext) -> Section:
-    """Wall-clock across runs from the append-only BENCH_INDEX."""
-    rows = ctx.index_rows()
-    kernel = [r for r in rows if r.get("backend") not in ("serve", "fleet")]
-    if not kernel:
-        return _empty("bench_trajectory", "Benchmark trajectory",
-                      "BENCH_INDEX.json has no kernel rows",
-                      "make bench-smoke")
-    table = [["run", "rev", "case", "backend", "wall", "speedup", "when"]]
-    for i, r in enumerate(kernel[-30:], max(0, len(kernel) - 30)):
-        speedup = r.get("speedup")
-        table.append([
-            str(i), r.get("rev") or "-", r.get("id", "-"),
-            r.get("backend", "-"),
-            f"{r.get('wall_clock_s', 0.0):.4f}s",
-            f"{speedup:.1f}x" if speedup else "-",
-            _fmt_ts(r.get("timestamp")),
-        ])
-    note = ("" if len(kernel) <= 30
-            else f"\n_Showing the last 30 of {len(kernel)} rows._")
-    return Section("bench_trajectory", "Benchmark trajectory",
-                   _md_table(table) + note)
+def _num(value: float) -> str:
+    return f"{value:.3g}" if abs(value) < 1000 else f"{value:,.0f}"
 
 
-def serve_slo(ctx: ReportContext) -> Section:
-    """Serve-layer throughput and tail latency across recorded runs."""
-    rows = [r for r in ctx.index_rows() if r.get("backend") == "serve"]
-    if not rows:
-        return _empty("serve_slo", "Serve SLO runs",
-                      "no serve rows in BENCH_INDEX.json",
-                      "make bench-smoke")
-    table = [["rev", "shape", "req/s", "p50", "p95", "p99",
-              "mean batch", "plan hits", "when"]]
-    for r in rows[-20:]:
-        table.append([
-            r.get("rev") or "-", r.get("shape", "-"),
-            f"{r.get('throughput_rps', 0.0):.0f}",
-            f"{r.get('latency_p50_ms', 0.0):.2f}ms",
-            f"{r.get('latency_p95_ms', 0.0):.2f}ms",
-            f"{r.get('latency_p99_ms', 0.0):.2f}ms",
-            f"{r.get('batch_size_mean', 0.0):.2f}",
-            f"{r.get('plan_hit_rate', 0.0) * 100:.0f}%",
-            _fmt_ts(r.get("timestamp")),
-        ])
-    return Section("serve_slo", "Serve SLO runs", _md_table(table))
+def layer_waterfall(ctx: ReportContext) -> Section:
+    """Per-layer cost and end-to-end medians of the layer-cost
+    benchmark, from LAYERS.json."""
+    doc = ctx.layers()
+    if doc is None:
+        return _empty("layer_waterfall", "Layer waterfall (measured)",
+                      f"no {LAYERS_NAME}",
+                      "python3 benchmarks/layers/run.py --smoke --out "
+                      f"benchmarks/results/{LAYERS_NAME}")
+    table = [["workload", *WATERFALL, *END_TO_END]]
+    for name, work in sorted(doc["workloads"].items()):
+        row = [name]
+        for metric in WATERFALL:
+            got = work["per_layer"].get(metric)
+            row.append(f"{got['value']:,.1f}" if got else "-")
+        for metric in END_TO_END:
+            got = work["end_to_end"][metric]
+            row.append(f"{_num(got['median'])} [{_num(got['q1'])}–"
+                       f"{_num(got['q3'])}]")
+        table.append(row)
+    host = doc["host"]
+    body = (_md_table(table)
+            + f"\n\n_Layer columns: µs per op in one traced run.  "
+              f"End-to-end columns: median [q1–q3] of {doc['runs']} "
+              f"untraced run(s) of {doc['seconds']} s each._"
+            + f"\n\n_Host: {host['nproc']} cores "
+              f"({host['cpus_allowed']} allowed), Python "
+              f"{host['python']}, NumPy {host['numpy']}, "
+              f"{host['platform']}; rev {host['git_rev'] or '-'}, "
+              f"seed {host['seed']}._")
+    return Section("layer_waterfall", "Layer waterfall (measured)", body)
 
 
 def tuning_trajectory(ctx: ReportContext) -> Section:
@@ -224,44 +227,10 @@ def tuning_trajectory(ctx: ReportContext) -> Section:
     return Section("tuning_trajectory", "Autotuner winners", body)
 
 
-def fleet_health(ctx: ReportContext) -> Section:
-    """Fleet-tier runs: pool-wide throughput/tails plus the cluster
-    facts (worker counts, routing skew, scale events) from the
-    ``backend="fleet"`` trajectory rows."""
-    rows = [r for r in ctx.index_rows() if r.get("backend") == "fleet"]
-    if not rows:
-        return _empty("fleet_health", "Fleet runs",
-                      "no fleet rows in BENCH_INDEX.json",
-                      "python -m repro fleet --bench-dir "
-                      "benchmarks/results")
-    table = [["rev", "shapes", "req/s", "p50", "p95", "workers",
-              "scale", "skew", "plan hits", "when"]]
-    for r in rows[-20:]:
-        table.append([
-            r.get("rev") or "-", r.get("shapes", "-"),
-            f"{r.get('throughput_rps', 0.0):.0f}",
-            f"{r.get('latency_p50_ms', 0.0):.2f}ms",
-            f"{r.get('latency_p95_ms', 0.0):.2f}ms",
-            f"{r.get('workers_start', 0)}→{r.get('workers_peak', 0)}"
-            f"→{r.get('workers_end', 0)}",
-            f"+{r.get('scale_ups', 0)}/-{r.get('scale_downs', 0)}",
-            f"{r.get('routing_skew', 0.0):.2f}x",
-            f"{r.get('plan_hit_rate', 0.0) * 100:.0f}%",
-            _fmt_ts(r.get("timestamp")),
-        ])
-    body = (_md_table(table)
-            + "\n\n_workers is start→peak→end; scale counts the "
-              "autoscaler's grow/drain events; skew is the max worker "
-              "key load over the ring mean (bound 2.00x)._")
-    return Section("fleet_health", "Fleet runs", body)
-
-
 EXPERIMENTS: Dict[str, Callable[[ReportContext], Section]] = {
     "fig06_sweep": fig06_sweep,
     "fig13_backend_ladder": fig13_backend_ladder,
-    "bench_trajectory": bench_trajectory,
-    "serve_slo": serve_slo,
-    "fleet_health": fleet_health,
+    "layer_waterfall": layer_waterfall,
     "tuning_trajectory": tuning_trajectory,
 }
 """Every named experiment ``python -m repro report`` renders, in order."""

@@ -4,9 +4,10 @@ artifact.
 Walks the experiment registry (:data:`repro.analysis.registry
 .EXPERIMENTS`) and renders each section into a single markdown report:
 the measured backend ladder from the ``BENCH_<id>.json`` snapshots,
-the run-over-run trajectory from ``BENCH_INDEX.json``, serve-layer SLO
-runs, the autotuner's winners from ``TUNING_DB.json``, and the
-model-predicted coarsening sweep for context.  Sections whose artifact
+the per-layer waterfall and end-to-end medians of the layer-cost
+benchmark from ``LAYERS.json``, the autotuner's winners from
+``TUNING_DB.json``, and the model-predicted coarsening sweep for
+context.  Sections whose artifact
 is missing render a "no data yet" stub naming the command that
 produces it — the report never fails on a fresh checkout.
 
@@ -15,7 +16,7 @@ Usage::
     python -m repro report                      # markdown to stdout
     python -m repro report -o REPORT.md         # write a file
     python -m repro report --html -o REPORT.html
-    python -m repro report --experiments tuning_trajectory serve_slo
+    python -m repro report --experiments tuning_trajectory layer_waterfall
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def render_markdown(sections: List[Section], *,
     ts = time.time() if timestamp is None else timestamp
     when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(ts))
     lines = ["# In-Place Data Sliding — reproduction report", "",
-             f"_Generated {when} from the persisted benchmark, serve and "
+             f"_Generated {when} from the persisted benchmark and "
              "tuning artifacts (see docs/tuning.md and "
              "docs/observability.md)._", ""]
     for section in sections:
@@ -114,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
         description="Render one markdown/HTML report over the persisted "
-                    "BENCH_*.json snapshots, the BENCH_INDEX.json "
-                    "trajectory and the autotuner's TUNING_DB.json.")
+                    "BENCH_*.json snapshots, the layer-cost benchmark's "
+                    "LAYERS.json and the autotuner's TUNING_DB.json.")
     parser.add_argument("--results-dir", default="benchmarks/results",
                         help="artifact directory "
                              "(default: benchmarks/results)")

@@ -79,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the fleet-stats snapshot as JSON "
                              "(render it with python -m repro analyze "
                              "PATH)")
-    parser.add_argument("--bench-dir", default=None, metavar="DIR",
-                        help="append a backend='fleet' row to "
-                             "BENCH_INDEX.json in DIR")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of text")
     return parser
@@ -142,12 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        default=str) + "\n")
         print(f"wrote {args.stats_out} "
               f"(render: python -m repro analyze {args.stats_out})")
-    if args.bench_dir:
-        from repro.obs.benchindex import append_rows, row_from_fleet_run
-
-        index_path = append_rows(args.bench_dir,
-                                 [row_from_fleet_run(report)])
-        print(f"appended 1 fleet row to {index_path}")
     if args.check:
         check_fleet_report(report)
         print("fleet acceptance: OK")

@@ -9,9 +9,9 @@ The observability layer of the reproduction:
 * :mod:`repro.obs.export` — Chrome-trace JSON (``chrome://tracing`` /
   Perfetto) and flat JSONL exporters;
 * :mod:`repro.obs.flight` — the always-on flight recorder with
-  dump-on-trigger incident bundles;
-* :mod:`repro.obs.log` — the structured JSONL event log that threads
-  ``request_id`` correlation across layers;
+  dump-on-trigger incident bundles; its event feed, optionally mirrored
+  to a JSONL file, is the one event stream that threads ``request_id``
+  correlation across layers;
 * :mod:`repro.obs.analyze` — the trace analyzer behind
   ``python -m repro analyze`` (critical-path decomposition, spin
   attribution, serve request lifecycles);

@@ -56,15 +56,26 @@ def _span_end(sp: Span, fallback: float) -> float:
 
 
 def _sanitize(value):
-    """Map non-finite floats to ``None`` recursively so every export is
-    strict JSON (``NaN``/``Infinity`` are not JSON and corrupt viewers)."""
+    """Coerce a value into strict-JSON primitives, recursively, so every
+    export, bundle and event-log line serializes: non-finite floats
+    become ``None`` (``NaN``/``Infinity`` are not JSON and corrupt
+    viewers), NumPy scalars their Python value, anything else its
+    ``repr``."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
-    return value
+    item = getattr(value, "item", None)
+    if callable(item):
+        try:
+            return _sanitize(item())
+        except Exception:  # pragma: no cover - exotic array-likes
+            pass
+    return repr(value)
 
 
 def chrome_trace_events(tracer: Tracer, *, pid: int = 0,

@@ -18,9 +18,17 @@ Two feeds fill the ring:
   appends the span dicts it synthesizes with :meth:`~FlightRecorder.add`
   instead;
 * **events** — layers call :meth:`FlightRecorder.record_event` directly
-  (serve admission/dispatch/completion, launch registration), which
-  works with *no* tracer installed — this is the cheap always-on path
-  the serve layer relies on.
+  (serve admission/dispatch/completion, the launches a batch ran),
+  which works with *no* tracer installed — this is the cheap always-on
+  path the serve layer relies on.
+
+The event feed is the process's one event stream.  Given an
+``event_log`` path, the recorder also appends every event to that file
+as one JSON object per line (``ts`` wall-clock epoch seconds, ``ts_us``
+on the recorder's clock, ``event``, then the event's fields), so one
+``grep`` by ``request_id`` follows a request across layers without a
+dump.  Each recorder owns its file: two servers in one process write
+two logs.
 
 The same ring is a fleet worker's span ring: the front door collects
 :meth:`~FlightRecorder.span_dicts` snapshots on response, drain or
@@ -90,6 +98,9 @@ class FlightRecorder:
     cooldown_ms:
         Minimum wall-clock gap between two bundles for the *same*
         trigger (:meth:`maybe_dump`); explicit :meth:`dump` ignores it.
+    event_log:
+        Optional JSONL file every recorded event is also appended to
+        (opened on construction, closed by :meth:`close`).
 
     The optional :attr:`on_dump` callback — ``fn(trigger, bundle_path,
     reason)`` — fires after every bundle is written.  A fleet worker
@@ -99,7 +110,8 @@ class FlightRecorder:
 
     def __init__(self, capacity: int = 4096, *,
                  incident_dir: Union[str, Path] = "incidents",
-                 cooldown_ms: float = 1000.0) -> None:
+                 cooldown_ms: float = 1000.0,
+                 event_log: Optional[Union[str, Path]] = None) -> None:
         self.capacity = int(capacity)
         self.incident_dir = Path(incident_dir)
         self.cooldown_ms = float(cooldown_ms)
@@ -112,6 +124,11 @@ class FlightRecorder:
         self.dumps: List[Path] = []
         self._installed = False
         self.on_dump = None
+        self._log = None
+        if event_log is not None:
+            path = Path(event_log)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._log = path.open("a", encoding="utf-8")
 
     # -- recording (the hot path) ---------------------------------------------
 
@@ -129,10 +146,19 @@ class FlightRecorder:
 
     def record_event(self, event: str, **fields) -> None:
         """Record a structured event with the recorder's own clock —
-        works without any tracer, which is the serve hot path."""
+        works without any tracer, which is the serve hot path — and
+        append it to the ``event_log`` file, if there is one."""
         fields["ts_us"] = round(self.now_us(), 3)
         fields["event"] = event
         self._events.append(fields)
+        if self._log is not None:
+            line = json.dumps(dict(_sanitize(fields),
+                                   ts=round(time.time(), 6)),
+                              sort_keys=True, allow_nan=False) + "\n"
+            with self._lock:
+                if self._log is not None:
+                    self._log.write(line)
+                    self._log.flush()
 
     def install(self) -> "FlightRecorder":
         """Start receiving completed spans from any active tracer."""
@@ -146,11 +172,20 @@ class FlightRecorder:
             remove_span_sink(self.record_span)
             self._installed = False
 
+    def close(self) -> None:
+        """Stop receiving spans and close the ``event_log`` file; the
+        ring stays readable and dumpable."""
+        self.uninstall()
+        with self._lock:
+            if self._log is not None:
+                self._log.close()
+                self._log = None
+
     def __enter__(self) -> "FlightRecorder":
         return self.install()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.uninstall()
+        self.close()
         return False
 
     def __len__(self) -> int:

@@ -80,9 +80,10 @@ class ServeConfig:
         Latency objective; a completed request slower than this fires
         the ``slo_breach`` incident trigger.  ``None`` disables it.
     event_log:
-        Path for the structured JSONL event log
-        (:mod:`repro.obs.log`); ``None`` keeps events in memory only
-        (they still reach incident bundles via the flight recorder).
+        JSONL file the flight recorder appends every event to (one
+        JSON object per line); ``None`` keeps events in the ring only
+        (they still reach incident bundles).  Needs the recorder, so
+        ``flight_capacity`` must be positive.
     shard_workers:
         Forked shard-worker processes for requests whose input streams
         out of core (:mod:`repro.stream`); ``0`` streams such requests
@@ -135,6 +136,10 @@ class ServeConfig:
             raise ValueError(
                 "ServeConfig.slo_ms must be positive or None, "
                 f"got {self.slo_ms!r}")
+        if self.event_log and int(self.flight_capacity) == 0:
+            raise ValueError(
+                f"ServeConfig.event_log={self.event_log!r} is written by "
+                "the flight recorder, which flight_capacity=0 disables")
 
     def replace(self, **changes) -> "ServeConfig":
         """A copy with ``changes`` applied (the frozen-dataclass idiom)."""

@@ -349,12 +349,10 @@ def run_load(
         # load (shape, concurrency, seed, fault schedule) that tripped
         # the trigger.
         server.flight.record_event(
-            "loadgen.profile", shape=shape, n=int(n),
-            clients=int(clients),
-            requests_per_client=int(requests_per_client),
-            seed=int(seed),
+            "loadgen.profile", shape=shape, n=n, clients=clients,
+            requests_per_client=requests_per_client, seed=seed,
             fault=None if fault is None else str(fault),
-            deadline_ms=deadline_ms, prime=bool(prime))
+            deadline_ms=deadline_ms, prime=prime)
     report = LoadReport(shape=shape, clients=clients,
                         requests=clients * requests_per_client)
     with server.metrics.scoped("serve."):
@@ -524,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "on breaker-open/deadline/launch-error/SLO "
                              "triggers")
     parser.add_argument("--event-log", default=None,
-                        help="append the structured JSONL event log to "
-                             "this file")
+                        help="append every flight-recorder event to "
+                             "this JSONL file")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--tuning-db", default=None,
                         help="warm the server from this autotuner DB "
@@ -580,7 +578,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = overhead_check(lambda on: run_load(
             shape=args.shape, clients=args.clients,
             requests_per_client=args.requests, n=args.n,
-            serve_config=cfg.replace(flight_capacity=capacity if on else 0),
+            serve_config=(cfg.replace(flight_capacity=capacity) if on else
+                          cfg.replace(flight_capacity=0, event_log=None)),
             fault=fault, prime=not args.no_prime,
             deadline_ms=args.deadline_ms, seed=args.seed))
         print(json.dumps(result, indent=2, sort_keys=True))

@@ -46,8 +46,10 @@ Architecture (one in-process service; see docs/serving.md)::
   SLO-breach triggers dump it into an incident bundle naming the
   affected ``request_id``\\ s, op chain and failing phase (see
   docs/observability.md).  Batch execution runs under
-  :func:`repro.obs.annotate`, so kernel-launch spans and ``launch.done``
-  event-log records carry the request ids they served.
+  :func:`repro.obs.annotate`, so kernel-launch spans carry the request
+  ids they served, and each launch a batch ran is recorded as one
+  ``launch.done`` event naming them.  With ``event_log`` set, the
+  recorder also appends every event to that JSONL file.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from repro.errors import (
     ResourceError,
     ServeError,
 )
-from repro.obs import log as _obslog
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.engine import Pipeline, signature_cache_stats
@@ -215,9 +216,8 @@ class Server:
             self.flight = FlightRecorder(
                 self.config.flight_capacity,
                 incident_dir=self.config.incident_dir or "incidents",
-                cooldown_ms=self.config.incident_cooldown_ms).install()
-        self._event_log = (_obslog.install(self.config.event_log)
-                           if self.config.event_log else None)
+                cooldown_ms=self.config.incident_cooldown_ms,
+                event_log=self.config.event_log or None).install()
 
         self._queue: deque = deque()
         self._cond = threading.Condition()
@@ -291,13 +291,7 @@ class Server:
             for w in self._workers:
                 w.join(timeout)
         if self.flight is not None:
-            self.flight.uninstall()
-        if self._event_log is not None:
-            if _obslog.get() is self._event_log:
-                _obslog.uninstall()
-            else:  # someone re-installed over ours; just close ours
-                self._event_log.close()
-            self._event_log = None
+            self.flight.close()
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -322,20 +316,19 @@ class Server:
         with self._mlock:
             self.metrics.gauge("serve.queue_depth").set(depth)
 
-    # -- flight recorder / event log / incidents -----------------------
+    # -- flight recorder / incidents -----------------------------------
 
     def _event(self, event: str, **fields) -> None:
-        """One structured lifecycle record to both always-on sinks: the
-        flight-recorder ring and (when installed) the JSONL event log."""
+        """One structured lifecycle record on the flight recorder (and
+        through it the ``event_log`` file, when configured)."""
         if self.flight is not None:
             self.flight.record_event(event, **fields)
-        _obslog.emit(event, **fields)
 
     def _incident(self, trigger: str, reason: str, *, phase: str,
                   requests: Sequence[ServeRequest] = (), **context) -> None:
         """Fire one incident trigger.
 
-        The trigger event always lands in the ring/event log; a bundle
+        The trigger event always lands in the ring; a bundle
         is only written when ``incident_dir`` is configured, and then at
         most once per ``incident_cooldown_ms`` per trigger.  The
         bundle's context names the affected request ids, their op chain
@@ -742,6 +735,11 @@ class Server:
                         req.transition(DISPATCHED, FAILED)
                         self._count("serve.failed")
                         self._finalize(req, error=exc)
+            finally:
+                # The batch's launches are in its results and its
+                # launch.done events; the worker's stream keeps none,
+                # so a long-running server stays bounded.
+                stream.reset()
 
     def _execute_batch(self, batch: List[ServeRequest], stream: Stream,
                        worker_id: int) -> None:
@@ -823,20 +821,21 @@ class Server:
         """
         if self.fault_hook is not None:
             self.fault_hook(live)
+        # The request identity every launch/primitive span (through the
+        # annotation scope) and launch.done event of this batch carries
+        # — the end-to-end correlation key.
+        notes = {"request_ids": [req.id for req in live],
+                 "batch_ops": "+".join(live[0].op_key)}
+        trace_ids = [req.trace.trace_id for req in live
+                     if req.trace is not None]
+        if trace_ids:
+            notes["trace_ids"] = trace_ids
+        first_launch = stream.num_launches
         tracing = _obs.active() is not None
         if tracing:
             _TRACE_EXEC_LOCK.acquire()
         results: Dict[int, PrimitiveResult] = {}
         try:
-            # The annotation scope threads request identity into every
-            # launch/primitive span and ``launch.done`` event-log record
-            # this batch produces — the end-to-end correlation key.
-            notes = {"request_ids": [req.id for req in live],
-                     "batch_ops": "+".join(live[0].op_key)}
-            trace_ids = [req.trace.trace_id for req in live
-                         if req.trace is not None]
-            if trace_ids:
-                notes["trace_ids"] = trace_ids
             with _obs.annotate(**notes):
                 resident = [req for req in live if not req.streamed]
                 for req in live:
@@ -865,6 +864,13 @@ class Server:
         finally:
             if tracing:
                 _TRACE_EXEC_LOCK.release()
+            if self.flight is not None:
+                for counters in stream.records[first_launch:]:
+                    self.flight.record_event(
+                        "launch.done", kernel=counters.kernel_name,
+                        grid_size=counters.grid_size,
+                        wg_size=counters.wg_size,
+                        bytes_moved=counters.bytes_moved, **notes)
         for req in live:
             if req.transition(DISPATCHED, DONE):
                 self._count("serve.completed")

@@ -19,7 +19,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.errors import LaunchError
-from repro.obs import log as _obslog
 from repro.simgpu.counters import LaunchCounters
 from repro.simgpu.device import DeviceSpec, get_device
 from repro.simgpu.scheduler import OrderSpec, launch
@@ -142,16 +141,6 @@ class Stream:
         path), so the ``stream.*`` metrics agree across backends exactly
         like the parity counters do.
         """
-        log = _obslog.get()
-        if log is not None:
-            fields = {"kernel": counters.kernel_name,
-                      "grid_size": counters.grid_size,
-                      "wg_size": counters.wg_size,
-                      "bytes_moved": counters.bytes_moved}
-            annotations = _obs.current_annotations()
-            if annotations:
-                fields.update(annotations)
-            log.emit("launch.done", **fields)
         tracer = _obs.active()
         if tracer is None:
             return

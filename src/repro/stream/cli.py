@@ -11,19 +11,16 @@ whole file.  This is the ``make stream-smoke`` entry point::
 
     python -m repro stream --check                  # smoke + verify
     python -m repro stream --trace stream.json      # + Chrome trace
-    python -m repro stream --bench-dir benchmarks/results  # + index rows
 
 ``--trace`` exports the single-process run's span timeline (per-shard
 ``stream.load``/``compute``/``store`` on ``shard:<k>`` tracks), which
 ``python -m repro analyze`` decomposes into per-shard stage
-attribution.  ``--bench-dir`` appends one ``backend="stream"`` row per
-mode to ``BENCH_INDEX.json`` (see :mod:`repro.obs.benchindex`).
+attribution.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import time
@@ -100,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="export the single-process run's Chrome "
                              "trace (analyze with python -m repro "
                              "analyze PATH)")
-    parser.add_argument("--bench-dir", default=None, metavar="DIR",
-                        help="append backend='stream' rows to "
-                             "BENCH_INDEX.json in DIR")
     parser.add_argument("--check", action="store_true",
                         help="non-zero exit unless both modes verify "
                              "byte-identically and the input spanned "
@@ -160,7 +154,6 @@ def main(argv=None) -> int:
                                   args.workers, f"pool[{args.workers}]"))
 
         failures = []
-        rows = []
         for label, result, wall_s in runs:
             ok = (result.output.dtype == reference.dtype
                   and np.array_equal(result.output, reference))
@@ -176,21 +169,6 @@ def main(argv=None) -> int:
             if ex.get("shards", 1) < 4:
                 failures.append(f"{label}: only {ex.get('shards')} "
                                 f"shards (need >= 4)")
-            rows.append((label, result, wall_s))
-
-        if args.bench_dir:
-            from repro.obs.benchindex import append_rows, row_from_stream_run
-
-            index_rows = [
-                row_from_stream_run(
-                    bench_id="stream_smoke", ops="compact+unique",
-                    elements=args.elements, dtype=args.dtype,
-                    wall_s=wall_s, extras=result.extras)
-                for label, result, wall_s in rows
-            ]
-            index_path = append_rows(args.bench_dir, index_rows)
-            print(f"appended {len(index_rows)} stream row(s) to "
-                  f"{index_path}")
 
         if args.check:
             if failures:

@@ -17,9 +17,9 @@ p95) is noisy enough that coordinate descent saves nothing.
 
 Every trial emits ``tune.*`` metrics, a ``tune.trial`` span on any
 tracer active *outside* the trial (trials themselves run under a scoped
-tracer for the decomposition measurement), and flight-recorder/event-log
-records — the tuner's decisions are as observable as the kernels it
-tunes.  Winners (and their full provenance) persist via
+tracer for the decomposition measurement), and flight-recorder events
+— the tuner's decisions are as observable as the kernels it tunes.
+Winners (and their full provenance) persist via
 :class:`~repro.tune.db.TuningDB`; timestamps are injected by the
 caller.
 """
@@ -34,7 +34,6 @@ import numpy as np
 from repro import obs as _obs
 from repro.config import DSConfig
 from repro.errors import ReproError
-from repro.obs import log as _obslog
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.engine import Pipeline
@@ -119,7 +118,7 @@ class TuneResult:
 class _TrialRecorder:
     """Shared observability plumbing for both sweep kinds: ``tune.*``
     metrics, explicit-timestamp spans on the *outer* tracer, and
-    flight/event-log records."""
+    flight-recorder events."""
 
     def __init__(self, kind: str, metrics: Optional[MetricsRegistry],
                  flight: Optional[FlightRecorder]) -> None:
@@ -136,7 +135,6 @@ class _TrialRecorder:
     def event(self, name: str, **fields) -> None:
         if self.flight is not None:
             self.flight.record_event(name, **fields)
-        _obslog.emit(name, **fields)
 
     def now_us(self) -> Optional[float]:
         return self.tracer.now_us() if self.tracer is not None else None

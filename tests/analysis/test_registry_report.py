@@ -1,6 +1,7 @@
 """The experiment registry and the ``python -m repro report`` renderer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,11 @@ from repro.analysis.report import (
     render_markdown,
 )
 from repro.errors import ReproError
-from repro.obs.benchindex import append_rows
 from repro.tune.db import TuningDB
+
+#: ``LAYERS.json`` exactly as ``benchmarks/layers/run.py --smoke --out``
+#: wrote it (six workloads, one run each, on a 2-core host).
+LAYERS_SMOKE = Path(__file__).parent / "layers_smoke"
 
 
 @pytest.fixture
@@ -27,15 +31,8 @@ def full_ctx(tmp_path):
         "wall_clock_s": {"simulated": 0.5, "vectorized": 0.01},
         "speedup": 50.0, "counters": [],
     }))
-    append_rows(tmp_path, [
-        {"id": "fig13", "backend": "vectorized", "wall_clock_s": 0.01,
-         "speedup": 50.0, "rev": "abc1234", "timestamp": 1754600000.0},
-        {"id": "serve_load", "backend": "serve", "shape": "chain",
-         "throughput_rps": 300.0, "latency_p50_ms": 3.0,
-         "latency_p95_ms": 6.0, "latency_p99_ms": 9.0,
-         "batch_size_mean": 3.5, "plan_hit_rate": 0.97,
-         "rev": "abc1234", "timestamp": 1754600000.0},
-    ])
+    (tmp_path / "LAYERS.json").write_text(
+        (LAYERS_SMOKE / "LAYERS.json").read_text())
     db = TuningDB(tmp_path / "TUNING_DB.json")
     db.set("kernel|x", kind="kernel", knobs={"coarsening": 4},
            objective={"wall_ms": 1.0}, baseline={"wall_ms": 2.0},
@@ -60,10 +57,28 @@ class TestRegistry:
         body = EXPERIMENTS["fig13_backend_ladder"](full_ctx).body
         assert "fig13" in body and "50.0x" in body and "median" in body
 
-    def test_trajectory_and_slo_read_the_index(self, full_ctx):
-        assert "abc1234" in EXPERIMENTS["bench_trajectory"](full_ctx).body
-        slo = EXPERIMENTS["serve_slo"](full_ctx).body
-        assert "chain" in slo and "6.00ms" in slo
+    def test_layer_waterfall_has_a_row_per_workload(self):
+        body = EXPERIMENTS["layer_waterfall"](
+            ReportContext(results_dir=LAYERS_SMOKE)).body
+        lines = body.splitlines()
+        header = lines[0].split(" | ")
+        assert header[1:6] == ["reference.chain_us", "primitives.chain_us",
+                               "dispatch.chain_us", "pipeline.run_us",
+                               "frontdoor.op_us"]
+        rows = [line for line in lines[2:] if line.startswith("| ")]
+        assert [row.split(" | ")[0][2:] for row in rows] == [
+            "batch_1k", "batch_1m", "fleet_1k", "serve_1k", "sim_64k",
+            "stream_4m"]
+        # batch_1k: the reference floor, then setup median [q1–q3]
+        assert rows[0].split(" | ")[1] == "16.2"
+        assert "0.245 [0.245–0.245]" in rows[0]
+        host = [line for line in lines if line.startswith("_Host:")]
+        assert len(host) == 1 and "Python 3.11.7" in host[0]
+
+    def test_layer_waterfall_stub_names_the_command(self, empty_ctx):
+        body = EXPERIMENTS["layer_waterfall"](empty_ctx).body
+        assert "No data yet" in body
+        assert "benchmarks/layers/run.py --smoke --out" in body
 
     def test_tuning_trajectory_shows_gain(self, full_ctx):
         body = EXPERIMENTS["tuning_trajectory"](full_ctx).body
@@ -86,8 +101,9 @@ class TestReport:
 
     def test_selection_preserves_order(self, empty_ctx):
         sections = build_report(empty_ctx,
-                                ["serve_slo", "fig06_sweep"])
-        assert [s.name for s in sections] == ["serve_slo", "fig06_sweep"]
+                                ["layer_waterfall", "fig06_sweep"])
+        assert [s.name for s in sections] == ["layer_waterfall",
+                                              "fig06_sweep"]
 
     def test_html_rendering(self, full_ctx):
         md = render_markdown(build_report(full_ctx), timestamp=0.0)

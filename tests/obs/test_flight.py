@@ -1,7 +1,10 @@
 """Flight recorder: bounded ring, span-sink feed, incident bundles."""
 
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.obs.export import validate_chrome_trace
@@ -37,6 +40,49 @@ class TestRing:
         assert ev["event"] == "serve.dispatch"
         assert ev["batch_size"] == 3
         assert ev["ts_us"] >= 0.0
+
+    def test_event_log_mirrors_every_event_as_jsonl(self, tmp_path):
+        path = tmp_path / "logs" / "events.jsonl"
+        fr = FlightRecorder(capacity=2, event_log=path)
+        for i in range(5):
+            fr.record_event("serve.admit", request_id=np.int64(i),
+                            wait_ms=float("nan"))
+        fr.close()
+        fr.record_event("serve.admit", request_id=99)  # ring only now
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        # the ring is bounded, the file keeps every event
+        assert [r["request_id"] for r in records] == [0, 1, 2, 3, 4]
+        assert len(fr.events()) == 2
+        for r in records:
+            assert r["event"] == "serve.admit" and r["wait_ms"] is None
+            assert r["ts"] > 0 and r["ts_us"] >= 0.0
+
+    def test_event_log_lines_stay_whole_under_threads(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        fr = FlightRecorder(capacity=16, event_log=path)
+
+        def emit(worker):
+            for i in range(200):
+                fr.record_event("tick", worker=worker, i=i)
+
+        threads = [threading.Thread(target=emit, args=(w,))
+                   for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        fr.close()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 800
+        assert sorted((r["worker"], r["i"]) for r in map(json.loads, lines)) \
+            == [(w, i) for w in range(4) for i in range(200)]
 
     def test_span_ring_is_bounded(self):
         fr = FlightRecorder(capacity=3)
@@ -169,6 +215,17 @@ class TestDump:
         # docs and the serve layer both key on these literals
         assert set(TRIGGERS) == {"breaker_open", "deadline",
                                  "launch_error", "slo_breach", "manual"}
+
+    def test_numpy_fields_dump_as_plain_numbers(self, tmp_path):
+        fr = FlightRecorder(capacity=8, incident_dir=tmp_path)
+        fr.record_event("serve.dispatch", batch_size=np.int64(3),
+                        wait_ms=np.float32(0.5),
+                        request_ids=[np.int64(1), np.int64(2)])
+        bundle = fr.dump("manual")
+        (ev,) = json.loads((bundle / "manifest.json").read_text())["events"]
+        assert ev["batch_size"] == 3 and type(ev["batch_size"]) is int
+        assert ev["wait_ms"] == 0.5 and type(ev["wait_ms"]) is float
+        assert ev["request_ids"] == [1, 2]
 
     def test_empty_ring_still_dumps_valid_bundle(self, tmp_path):
         fr = FlightRecorder(capacity=4, incident_dir=tmp_path)

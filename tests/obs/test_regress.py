@@ -134,11 +134,10 @@ class TestCheckAll:
 
 class TestLegacyArtifacts:
     def test_compiled_keyed_artifacts_still_load(self, report, tmp_path):
-        """Baselines and index rows written while the compiled tier
-        existed keep loading: the gate ignores the legacy keys and the
-        report renders the legacy rows."""
+        """Baselines written while the compiled tier existed keep
+        loading: the gate ignores the legacy keys and the report's
+        backend ladder leaves them out."""
         from repro.analysis.registry import EXPERIMENTS, ReportContext
-        from repro.obs.benchindex import append_rows
 
         legacy = dict(report)
         legacy["wall_clock_s"] = dict(report["wall_clock_s"], compiled=1e-9)
@@ -151,11 +150,6 @@ class TestLegacyArtifacts:
         assert not any("compiled" in f for f in failures)
 
         (tmp_path / "BENCH_fig13.json").write_text(json.dumps(legacy))
-        append_rows(tmp_path, [
-            {"id": "fig13", "backend": "compiled", "wall_clock_s": 0.009,
-             "speedup": 1.97, "compiled_fallback": True, "rev": "8bb4859",
-             "timestamp": 1754600000.0}])
         ctx = ReportContext(results_dir=tmp_path)
         ladder = EXPERIMENTS["fig13_backend_ladder"](ctx).body
         assert "fig13" in ladder and "compiled" not in ladder
-        assert "8bb4859" in EXPERIMENTS["bench_trajectory"](ctx).body

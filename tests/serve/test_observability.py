@@ -207,6 +207,49 @@ class TestEventLog:
         kinds = {r["event"] for r in mine}
         assert {"serve.admit", "serve.dispatch", "launch.done",
                 "serve.request_done"} <= kinds
-        # the server uninstalls the log it installed
-        from repro.obs import log as obslog
-        assert obslog.get() is None
+
+    def test_two_servers_keep_their_own_logs(self, data, tmp_path):
+        # Each server's recorder owns its file: a second server in the
+        # same process must not take over (or close) the first's log.
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        servers = [Server(ServeConfig(max_wait_ms=1.0, num_workers=1,
+                                      event_log=str(path)))
+                   for path in paths]
+        try:
+            futs = [srv.submit("compact", data, 0.0) for srv in servers]
+            for fut in futs:
+                fut.result(timeout=30)
+        finally:
+            for srv in servers:
+                srv.close()
+        for srv, path, fut in zip(servers, paths, futs):
+            records = [json.loads(line)
+                       for line in path.read_text().splitlines()]
+            admitted = [r["request_id"] for r in records
+                        if r["event"] == "serve.admit"]
+            assert admitted == [fut.request_id]
+            # the file mirrors that server's ring, line for event
+            assert sorted(r["event"] for r in records) == sorted(
+                e["event"] for e in srv.flight.events())
+            for r in records:
+                assert {"ts", "ts_us", "event"} <= set(r)
+
+    def test_launch_done_reaches_the_incident_bundle(self, data, tmp_path):
+        # launch.done is recorded before the batch's requests finalize,
+        # so the SLO-breach bundle of a request holds its own launches.
+        cfg = ServeConfig(max_wait_ms=1.0, num_workers=1, slo_ms=0.0001,
+                          incident_dir=str(tmp_path))
+        with Server(cfg) as srv:
+            fut = srv.submit_chain([("compact", 0.0), "unique"], data)
+            result = fut.result(timeout=30)
+        manifest = json.loads(
+            (srv.flight.dumps[0] / "manifest.json").read_text())
+        assert manifest["trigger"] == "slo_breach"
+        launches = [e for e in manifest["events"]
+                    if e["event"] == "launch.done"]
+        assert len(launches) == result.num_launches > 0
+        for ev in launches:
+            assert ev["request_ids"] == [fut.request_id]
+            assert ev["batch_ops"] == "ds_stream_compact+ds_unique"
+            assert ev["grid_size"] > 0 and ev["wg_size"] > 0
+            assert ev["bytes_moved"] > 0 and ev["kernel"]

@@ -117,6 +117,16 @@ class TestObservabilityKnobs:
     def test_flight_capacity_zero_is_allowed(self):
         assert ServeConfig(flight_capacity=0).flight_capacity == 0
 
+    def test_event_log_needs_the_flight_recorder(self):
+        # The event log is the recorder's file sink: no ring, no log.
+        with pytest.raises(ValueError, match="flight_capacity=0"):
+            ServeConfig(event_log="/tmp/serve.log.jsonl",
+                        flight_capacity=0)
+        with pytest.raises(ValueError, match="REPRO_SERVE_EVENT_LOG"):
+            ServeConfig.from_env({
+                "REPRO_SERVE_EVENT_LOG": "/tmp/serve.log.jsonl",
+                "REPRO_SERVE_FLIGHT_CAPACITY": "0"})
+
     @pytest.mark.parametrize("var,raw", [
         ("REPRO_SERVE_FLIGHT_CAPACITY", "-1"),
         ("REPRO_SERVE_SLO_MS", "0"),

@@ -169,6 +169,28 @@ class TestIntrospection:
         assert stats["serve.completed"] == 1
         assert "plan_cache.hits" in stats and "breaker" in stats
 
+    def test_worker_streams_keep_no_launch_records(self, data,
+                                                   monkeypatch):
+        # Memory stays bounded: a worker's stream is reset after every
+        # batch instead of keeping each launch for the server's life.
+        from repro.serve import server as server_mod
+
+        streams = []
+
+        class RecordingStream(server_mod.Stream):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+        monkeypatch.setattr(server_mod, "Stream", RecordingStream)
+        with Server(_cfg(num_workers=2)) as srv:
+            futs = [srv.submit_chain([("compact", 0.0), "unique"], data)
+                    for _ in range(40)]
+            launches = sum(f.result(timeout=30).num_launches for f in futs)
+        assert launches >= 1 and len(streams) == 2
+        for stream in streams:
+            assert stream.records == [] and stream.batches == []
+
     def test_queue_depth_gauge_returns_to_zero(self, data):
         with Server(_cfg()) as srv:
             srv.submit("compact", data, 0.0).result(timeout=30)

@@ -1,14 +1,11 @@
-"""The ``python -m repro stream`` smoke CLI, per-shard trace analysis
-and the ``stream`` bench-index rows."""
-
-import json
+"""The ``python -m repro stream`` smoke CLI and per-shard trace
+analysis."""
 
 import numpy as np
 import pytest
 
 from repro import DSConfig, obs
 from repro.obs.analyze import analyze, render_text
-from repro.obs.benchindex import row_from_stream_run
 from repro.obs.export import export_chrome_trace
 from repro.stream import ArraySource, stream_run
 from repro.stream.cli import build_parser, main
@@ -17,22 +14,12 @@ from repro.stream.cli import build_parser, main
 class TestStreamCli:
     def test_check_exit_zero(self, tmp_path):
         trace = tmp_path / "trace.json"
-        bench = tmp_path / "bench"
-        bench.mkdir()
         rc = main(["--check", "--elements", "8192",
                    "--shard-elems", "1024", "--workers", "2",
                    "--file", str(tmp_path / "in.dat"),
-                   "--trace", str(trace),
-                   "--bench-dir", str(bench)])
+                   "--trace", str(trace)])
         assert rc == 0
         assert trace.exists()
-        doc = json.loads((bench / "BENCH_INDEX.json").read_text())
-        stream_rows = [r for r in doc["rows"] if r["backend"] == "stream"]
-        assert len(stream_rows) >= 1
-        for row in stream_rows:
-            assert row["shards"] >= 4
-            assert row["elements"] == 8192
-            assert row["throughput_meps"] > 0
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
@@ -79,20 +66,3 @@ class TestAnalyzeStream:
         assert "stream pipeline" in text
         assert "shard" in text
 
-
-class TestBenchRow:
-    def test_row_fields(self):
-        row = row_from_stream_run(
-            bench_id="stream_compact_unique/seq",
-            ops="compact+unique", elements=1 << 18, dtype="float32",
-            wall_s=0.25,
-            extras={"shards": 8, "shard_elems": 1 << 15, "n_workers": 0,
-                    "double_buffer": True, "boundary_drops": 3})
-        assert row["backend"] == "stream"
-        assert row["elements"] == 1 << 18
-        assert row["throughput_meps"] == pytest.approx(
-            (1 << 18) / 0.25 / 1e6)
-        assert row["shards"] == 8
-        assert row["n_workers"] == 0
-        assert row["boundary_drops"] == 3
-        assert "timestamp" in row and "rev" in row
