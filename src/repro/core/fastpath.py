@@ -18,7 +18,15 @@ algorithms themselves:
   *pristine* input, so evaluating predicates/remaps on the untouched
   array is exactly what the simulated kernels compute;
 * a NumPy fancy-index gather copies, so gather-then-scatter tolerates
-  the overlapping source/destination ranges of in-place slides.
+  the overlapping source/destination ranges of in-place slides.  Each
+  launch gathers every output before its first store, so it never
+  snapshots its input.
+
+The irregular launches gather through ``flatnonzero`` positions (a
+boolean-mask gather branches per element and is several times slower
+on irregular masks) and take their per-round kept counts from those
+positions by binary search
+(:func:`~repro.simgpu.vectorized.round_kept_counts`).
 
 Schedule-dependent quantities (``n_spins``, ``steps``,
 ``peak_resident``) are reported for the idealized schedule: zero failed
@@ -47,6 +55,7 @@ from repro.simgpu.vectorized import (
     contiguous_round_txns,
     remapped_store_txns,
     round_kept_counts,
+    workgroup_kept_counts,
 )
 
 __all__ = [
@@ -257,12 +266,6 @@ def _tile_load_accounting(
     buf.stats.load_transactions += txns
 
 
-def _kept_per_workgroup(keep: np.ndarray, grid: int, tile: int) -> np.ndarray:
-    padded = np.zeros(grid * tile, dtype=np.int64)
-    padded[: keep.size] = keep
-    return padded.reshape(grid, tile).sum(axis=1)
-
-
 def vectorized_irregular_launch(
     array: Buffer,
     out: Buffer,
@@ -282,15 +285,20 @@ def vectorized_irregular_launch(
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
-    vals = array.data[:n].copy()  # snapshot: predicates see pristine input
+    vals = array.data[:n]  # pristine until the first store below
     keep = _evaluate_keep(vals, predicate, stencil_unique)
-    n_true = int(keep.sum())
-    out.data[:n_true] = vals[keep]
-    if false_out is not None:
-        false_out.data[: n - n_true] = vals[~keep]
+    kept_pos = np.flatnonzero(keep)
+    n_true = int(kept_pos.size)
+    kt = round_kept_counts(kept_pos, n, W)  # kept per global round
+    # Gather every output before the first store: the gathers copy, so
+    # partition's true and false halves both see the pristine input.
+    kept = vals[kept_pos]
+    falses = vals[np.flatnonzero(~keep)] if false_out is not None else None
+    out.data[:n_true] = kept
+    if falses is not None:
+        false_out.data[: n - n_true] = falses
     t1 = tracer.now_us() if tracer is not None else 0.0
 
-    kt = round_kept_counts(keep, W)  # kept per global round
     kept_before = np.cumsum(kt) - kt
     n_act = kt.size  # ceil(n / W): rounds with any active lane
 
@@ -312,12 +320,11 @@ def vectorized_irregular_launch(
     c.n_atomics = 3 * grid
     c.n_barriers = 3 * grid
 
-    kept_per_wg = _kept_per_workgroup(keep, grid, geometry.tile_size)
     _finalize_sync_structures(
         flags,
         wg_counter,
         grid,
-        np.cumsum(kept_per_wg) + 1,  # encode_count applied vector-wide
+        np.cumsum(workgroup_kept_counts(kt, cf)) + 1,  # encode_count, vector-wide
     )
     rec = stream.record(_finish(c))
     if tracer is not None:
@@ -345,16 +352,17 @@ def vectorized_keyed_launch(
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
-    key_vals = keys.data[:n].copy()
-    payload_vals = [p.data[:n].copy() for p in payloads]
-    keep = _evaluate_keep(key_vals, predicate, stencil_unique)
-    n_true = int(keep.sum())
-    keys.data[:n_true] = key_vals[keep]
-    for buf, vals in zip(payloads, payload_vals):
-        buf.data[:n_true] = vals[keep]
+    keep = _evaluate_keep(keys.data[:n], predicate, stencil_unique)
+    kept_pos = np.flatnonzero(keep)
+    n_true = int(kept_pos.size)
+    kt = round_kept_counts(kept_pos, n, W)
+    # Gather every column before the first store (the gathers copy).
+    bufs = [keys, *payloads]
+    kept = [buf.data[:n][kept_pos] for buf in bufs]
+    for buf, vals in zip(bufs, kept):
+        buf.data[:n_true] = vals
     t1 = tracer.now_us() if tracer is not None else 0.0
 
-    kt = round_kept_counts(keep, W)
     kept_before = np.cumsum(kt) - kt
     n_act = kt.size
 
@@ -373,12 +381,11 @@ def vectorized_keyed_launch(
     c.n_atomics = 3 * grid
     c.n_barriers = 3 * grid
 
-    kept_per_wg = _kept_per_workgroup(keep, grid, geometry.tile_size)
     _finalize_sync_structures(
         flags,
         wg_counter,
         grid,
-        np.cumsum(kept_per_wg) + 1,  # encode_count applied vector-wide
+        np.cumsum(workgroup_kept_counts(kt, cf)) + 1,  # encode_count, vector-wide
     )
     rec = stream.record(_finish(c))
     if tracer is not None:

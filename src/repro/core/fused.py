@@ -35,10 +35,17 @@ so the outgoing carry is unaffected.
 
 Both backends implement the fusion: :func:`run_fused_irregular`
 dispatches to a generator kernel on the event-level scheduler or to a
-closed-form fast path (accounting arithmetic in
-:func:`repro.simgpu.vectorized.fused_chain_accounting`), with the
-schedule-invariant counters matching across backends like every other
-primitive's.
+closed-form fast path.  The fast path does a constant number of
+whole-array passes per launch, whatever the grid size:
+:func:`fused_survivors` runs each stage once, over the survivors of
+the previous stage — one predicate (or stencil) pass, one
+``flatnonzero`` and one gather — and the last stage gathers straight
+into the device buffer.  Counters (arithmetic in
+:func:`repro.simgpu.vectorized.fused_chain_accounting`), the flag
+chain and the carry chain all derive from one small record: the
+survivors of each stage prefix before every round boundary, one binary
+search per round.  The schedule-invariant counters and the side
+structures match across backends like every other primitive's.
 """
 
 from __future__ import annotations
@@ -52,6 +59,15 @@ from repro.collectives.reduction import reduce_workgroup
 from repro.collectives.scan import binary_exclusive_scan
 from repro.core.coarsening import LaunchGeometry, launch_geometry
 from repro.core.dynamic_id import dynamic_wg_id
+from repro.core.fastpath import (
+    _base_counters,
+    _emit_wg_phases,
+    _evaluate_keep,
+    _finalize_sync_structures,
+    _finish,
+    _trace_begin,
+    _trace_finish,
+)
 from repro.core.flags import decode_count, encode_count, make_flags, make_wg_counter
 from repro.core.predicates import Predicate
 from repro.errors import LaunchError
@@ -60,13 +76,19 @@ from repro.simgpu.buffers import Buffer
 from repro.simgpu.counters import LaunchCounters
 from repro.simgpu.events import Event
 from repro.simgpu.stream import Stream
-from repro.simgpu.vectorized import fused_chain_accounting, resolve_backend
+from repro.simgpu.vectorized import (
+    fused_chain_accounting,
+    resolve_backend,
+    round_bounds,
+    workgroup_kept_counts,
+)
 from repro.simgpu.workgroup import WorkGroup
 
 __all__ = [
     "FuseStage",
+    "FusedSurvivors",
     "FusedResult",
-    "fused_masks",
+    "fused_survivors",
     "chain_kernel_name",
     "run_fused_irregular",
 ]
@@ -126,42 +148,72 @@ def _and_preds(vals: np.ndarray, preds: Sequence[Predicate]) -> np.ndarray:
     return mask
 
 
-def fused_masks(vals: np.ndarray, stages: Sequence[FuseStage]) -> List[np.ndarray]:
-    """Cumulative survivor masks after each stage, over the whole array.
+@dataclass(frozen=True)
+class FusedSurvivors:
+    """The elements surviving each stage of a fused chain.
 
-    ``fused_masks(v, stages)[i]`` marks the elements of ``v`` surviving
-    stages ``0..i`` — exactly the elements the sequential execution of
-    those primitives would have kept.  The pipeline uses the
-    intermediate masks to resolve the futures of fused-away ops; the
-    last mask is the fused launch's output.
+    Stage ``i`` runs on the survivors of stage ``i - 1`` (stage 0 on the
+    input).  ``values[i]`` holds the survivors of stages ``0..i`` — the
+    output of the op the stage stands for — for every stage but the
+    last; ``kept`` indexes the last stage's input at its survivors, which
+    the launch gathers straight into the device buffer.  ``below[i]``
+    counts the survivors of the first ``i`` stages before every global
+    round boundary (:func:`~repro.simgpu.vectorized.round_bounds`): the
+    one per-round record the counters, the flag chain and the carry
+    chain derive from.  ``stencil_at`` is the index of the stencil stage
+    (``-1`` without one).
     """
-    vals = np.asarray(vals)
-    cur = np.ones(vals.size, dtype=bool)
-    out: List[np.ndarray] = []
-    for stage in stages:
-        if stage.kind == "pred":
-            cur = cur & np.asarray(stage.predicate(vals), dtype=bool)
-        else:
-            idx = np.flatnonzero(cur)
-            if idx.size:
-                sv = vals[idx]
-                keep = np.empty(sv.size, dtype=bool)
-                keep[0] = True
-                keep[1:] = sv[1:] != sv[:-1]
-                cur = cur.copy()
-                cur[idx[~keep]] = False
-        out.append(cur.copy())
-    return out
+
+    values: List[np.ndarray]
+    kept: np.ndarray
+    below: List[np.ndarray]
+    stencil_at: int = -1
+
+
+def fused_survivors(
+    vals: np.ndarray, stages: Sequence[FuseStage], wg_size: int
+) -> FusedSurvivors:
+    """Run the chain's stages over ``vals``, each on the survivors of the
+    previous one.
+
+    ``fused_survivors(v, stages, w).values[i]`` holds exactly the
+    elements the sequential execution of stages ``0..i`` would have
+    kept.  A stage is one predicate (or stencil) pass, one
+    ``flatnonzero`` and one gather over the previous stage's survivors,
+    so the work shrinks from stage to stage; its round-boundary counts
+    are one binary search per round.  ``vals`` is only read and every
+    value array is a copy, so the result stays valid after the launch
+    overwrites ``vals``.
+    """
+    cur = np.asarray(vals)
+    below = [round_bounds(cur.size, wg_size)]
+    values: List[np.ndarray] = []
+    stencil_at = -1
+    for i, stage in enumerate(stages):
+        if stage.kind == "stencil":
+            stencil_at = i
+        pick = np.flatnonzero(
+            _evaluate_keep(cur, stage.predicate, stage.kind == "stencil"))
+        below.append(np.searchsorted(pick, below[-1]))
+        if i < len(stages) - 1:
+            cur = cur[pick]
+            values.append(cur)
+            del pick  # free it first: fresh pages cost faults at 1M
+    return FusedSurvivors(values, pick, below, stencil_at)
 
 
 @dataclass
 class FusedResult:
-    """Host-visible outcome of one fused launch."""
+    """Host-visible outcome of one fused launch.  ``intermediates`` are
+    the outputs of the ops fused away — the survivors of every stage but
+    the last (:attr:`FusedSurvivors.values`), read from the pristine
+    input."""
 
     counters: LaunchCounters
     geometry: LaunchGeometry
     n_true: int
     n_false: int
+    intermediates: List[np.ndarray]
 
     @property
     def output_size(self) -> int:
@@ -312,33 +364,45 @@ def _vectorized_fused_launch(
     total: int,
     stream: Stream,
     kernel_name: str,
-) -> LaunchCounters:
-    """Fast-path twin of :func:`fused_irregular_kernel`."""
-    from repro import obs as _obs
-    from repro.core.fastpath import (
-        _base_counters,
-        _emit_wg_phases,
-        _finalize_sync_structures,
-        _finish,
-        _trace_begin,
-        _trace_finish,
-    )
+) -> Tuple[LaunchCounters, List[np.ndarray]]:
+    """Fast-path twin of :func:`fused_irregular_kernel`.
 
+    Every value the launch needs — each stage's survivors and the carry
+    values — is read from the pristine input before the one in-place
+    store (the gathers copy, so no snapshot is taken).  Returns the
+    launch record and the outputs of the ops fused away, which the
+    pipeline resolves their futures with.
+    """
     grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
+    tile = geometry.tile_size
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
-    vals = array.data[:n].copy()
-    pre, has_stencil, _post = _split_stages(stages)
-    masks = fused_masks(vals, stages)
-    keep = masks[-1]
-    n_true = int(keep.sum())
-    array.data[:n_true] = vals[keep]
+    vals = array.data[:n]  # pristine until the store below
+    survivors = fused_survivors(vals, stages, W)
+    kt = np.diff(survivors.below[-1])  # kept per global round
+    n_true = int(survivors.kept.size)
+    s = survivors.stencil_at
+    if s >= 0:
+        # Group g's carry is the last pre-stencil survivor before its
+        # tile end, global round (g + 1) * cf.  Read it before the
+        # store: with the stencil first, the pre-stencil survivors are
+        # the input itself.
+        pre_below = survivors.below[s]
+        below = pre_below[np.minimum(np.arange(1, grid + 1) * cf,
+                                     pre_below.size - 1)]
+        slots = np.flatnonzero(below)
+        carry_vals = (survivors.values[s - 1] if s else vals)[below[slots] - 1]
+    # The last stage's input is a gathered copy, never ``vals``: gather
+    # straight into the device buffer ("clip": the indices are in range,
+    # and "raise" would buffer the output).
+    np.take(survivors.values[-1], survivors.kept, out=array.data[:n_true],
+            mode="clip")
     t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, W, stream)
     acct = fused_chain_accounting(
-        n, keep, W, grid, cf,
+        n, kt, W, grid, cf,
         itemsize=array.itemsize,
         carry_itemsize=carry.itemsize,
         valid_itemsize=carry_valid.itemsize,
@@ -366,29 +430,22 @@ def _vectorized_fused_launch(
             buf.stats.store_transactions += grid
 
     # Leave the side structures as the kernel would: the flag chain
-    # carries cumulative kept counts, the carry chain the last
-    # pre-stencil survivor of each prefix.
-    tile = geometry.tile_size
-    padded = np.zeros(grid * tile, dtype=np.int64)
-    padded[:n] = keep[:n]
-    kept_per_wg = padded.reshape(grid, tile).sum(axis=1)
+    # carries cumulative kept counts, the carry chain each group's last
+    # pre-stencil survivor so far (a tile without one passes its
+    # predecessor's through).  A stencil-free chain only passes the zero
+    # carry along.
     _finalize_sync_structures(flags, wg_counter, grid,
-                              np.cumsum(kept_per_wg) + 1)
-    p_survive = _and_preds(vals, pre) if has_stencil else keep
-    p_idx = np.flatnonzero(p_survive)
-    for g in range(grid):
-        hi = min((g + 1) * tile, n)
-        upto = p_idx[p_idx < hi]
-        if upto.size:
-            carry.data[g + 1] = vals[upto[-1]]
-            carry_valid.data[g + 1] = 1
+                              np.cumsum(workgroup_kept_counts(kt, cf)) + 1)
+    if s >= 0:
+        carry.data[slots + 1] = carry_vals
+        carry_valid.data[slots + 1] = 1
 
     rec = stream.record(_finish(c))
     if tracer is not None:
         _emit_wg_phases(tracer, grid=grid, tile=tile, wg_size=W,
                         coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
         _trace_finish(tracer, launch_span, c)
-    return rec
+    return rec, survivors.values
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +491,13 @@ def run_fused_irregular(
         np.zeros(geometry.n_workgroups + 1, dtype=np.int64), "fuse_carry_valid")
     kernel_name = chain_kernel_name(stages)
     if resolve_backend(backend) == "vectorized":
-        counters = _vectorized_fused_launch(
+        counters, intermediates = _vectorized_fused_launch(
             array, stages, carry, carry_valid, flags, counter, geometry, n,
             stream, kernel_name)
     else:
+        # Read the survivors before the kernel overwrites its input.
+        intermediates = fused_survivors(
+            array.data[:n], stages, geometry.wg_size).values
         counters = stream.launch(
             fused_irregular_kernel,
             grid_size=geometry.n_workgroups,
@@ -462,5 +522,5 @@ def run_fused_irregular(
     )
     return FusedResult(
         counters=counters, geometry=geometry, n_true=n_true,
-        n_false=n - n_true,
+        n_false=n - n_true, intermediates=intermediates,
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.config import DSConfig, UNSET, resolve_config
-from repro.core.fused import fused_masks, run_fused_irregular
+from repro.core.fused import run_fused_irregular
 from repro.errors import LaunchError
 from repro.futures import Future
 from repro.primitives.common import (
@@ -432,7 +432,6 @@ class Pipeline:
                 self._run_single(call, futures)
             return
         labels = [s.label for s in stages]
-        masks = fused_masks(values, stages)
         buf = Buffer(values, "pipeline_fused")
         fused = run_fused_irregular(
             buf, stages, self.stream, total=int(values.size),
@@ -441,14 +440,13 @@ class Pipeline:
             scan_variant=cfg.scan_variant, backend=cfg.backend,
         )
         # Intermediate futures: their arrays were never materialized on
-        # the device — the fused launch skipped them — so they resolve
-        # to the reference-computed prefix with no launch records.
-        # n_removed stays relative to each op's *own* input (the
-        # previous stage's survivor count), matching the sequential
-        # calls the fusion replaces.
+        # the device — the fused launch skipped them — so they resolve,
+        # with no launch records, to the stage survivors the launch read
+        # from the pristine input.  n_removed stays relative to each op's
+        # *own* input (the previous stage's survivor count), matching
+        # the sequential calls the fusion replaces.
         prev_kept = int(values.size)
-        for call, mask in zip(calls[:-1], masks[:-1]):
-            kept = values[mask]
+        for call, kept in zip(calls[:-1], fused.intermediates):
             n_kept = int(kept.size)
             futures[call.index]._resolve(PrimitiveResult(
                 output=kept,

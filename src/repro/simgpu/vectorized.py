@@ -42,7 +42,9 @@ __all__ = [
     "contiguous_round_txns",
     "contiguous_range_txns",
     "remapped_store_txns",
+    "round_bounds",
     "round_kept_counts",
+    "workgroup_kept_counts",
     "fused_chain_accounting",
 ]
 
@@ -175,20 +177,33 @@ def remapped_store_txns(
     return int(((dr != 0) | (ds != 0)).sum()) + 1
 
 
-def round_kept_counts(keep: np.ndarray, wg_size: int) -> np.ndarray:
-    """Predicate-true elements per global round (``keep`` padded to a
-    whole number of rounds), for the irregular kernels' contiguous
-    output ranges."""
-    keep = np.asarray(keep, dtype=bool)
-    n_rounds = (keep.size + wg_size - 1) // wg_size
-    padded = np.zeros(n_rounds * wg_size, dtype=np.int64)
-    padded[: keep.size] = keep
-    return padded.reshape(n_rounds, wg_size).sum(axis=1)
+def round_bounds(total: int, wg_size: int) -> np.ndarray:
+    """The first position of every global round, then ``total``: the
+    boundaries per-round counts are taken between (the last round may
+    be partial)."""
+    bounds = np.arange(0, total + wg_size, wg_size, dtype=np.int64)
+    bounds[-1] = total
+    return bounds
+
+
+def round_kept_counts(kept_pos: np.ndarray, total: int, wg_size: int) -> np.ndarray:
+    """Kept elements per global round, for the irregular kernels'
+    contiguous output ranges, from the ascending positions of the kept
+    elements: one binary search per round boundary, never a pass over
+    the input."""
+    return np.diff(np.searchsorted(kept_pos, round_bounds(total, wg_size)))
+
+
+def workgroup_kept_counts(kt: np.ndarray, coarsening: int) -> np.ndarray:
+    """Kept elements per work-group from the per-round counts ``kt``:
+    work-group ``g``'s tile is global rounds ``g * coarsening`` up to
+    ``(g + 1) * coarsening``, so its count is the sum of those rounds."""
+    return np.add.reduceat(kt, np.arange(0, kt.size, coarsening))
 
 
 def fused_chain_accounting(
     total: int,
-    keep: np.ndarray,
+    kt: np.ndarray,
     wg_size: int,
     grid: int,
     coarsening: int,
@@ -206,12 +221,12 @@ def fused_chain_accounting(
     — plus the carry chain: every work-group loads its predecessor's
     ``(carry, carry_valid)`` pair and stores its own, four
     single-element accesses per group, each touching one transaction
-    segment.  ``keep`` is the final survivor mask; the structural facts
-    this arithmetic relies on are the same schedule-invariant ones the
-    per-primitive fast paths use.
+    segment.  ``kt`` holds the final survivors per global round
+    (:func:`round_kept_counts`); the structural facts this arithmetic
+    relies on are the same schedule-invariant ones the per-primitive
+    fast paths use.
     """
     n = int(total)
-    kt = round_kept_counts(keep, wg_size)
     n_true = int(kt.sum())
     kept_before = np.cumsum(kt) - kt
     n_act = kt.size

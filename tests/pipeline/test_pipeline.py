@@ -322,6 +322,114 @@ class TestFusedExecution:
             p.run()
 
 
+# Fusable chains as (op, extra args) steps; the first consumes the input,
+# each later one the previous future.
+SEQUENTIAL = {"compact": ds_stream_compact, "unique": ds_unique,
+              "remove_if": ds_remove_if}
+FUSED_CHAINS = {
+    "compact+unique": [("compact", (0,)), ("unique", ())],
+    "compact+remove_if+unique": [("compact", (0,)),
+                                 ("remove_if", (is_even(),)),
+                                 ("unique", ())],
+    "unique+compact": [("unique", ()), ("compact", (0,))],
+    "unique+remove_if+compact": [("unique", ()),
+                                 ("remove_if", (less_than(2),)),
+                                 ("compact", (5,))],
+}
+
+
+def _enqueue_chain(p, x, chain):
+    futures, prev = [], x
+    for op, args in chain:
+        prev = getattr(p, op)(prev, *args)
+        futures.append(prev)
+    return futures
+
+
+def _sequential_chain(x, chain, cfg):
+    s = resolve_stream(None, seed=cfg.seed)
+    results, prev = [], x
+    for op, args in chain:
+        r = SEQUENTIAL[op](prev.copy(), *args, s, config=cfg)
+        results.append(r)
+        prev = r.output
+    return results
+
+
+class TestFusedIntermediates:
+    """The futures of the ops a fused launch replaces resolve from the
+    launch's own survivors: equal to the sequential calls, each in its
+    own memory, and detached from the caller's input."""
+
+    @pytest.fixture
+    def device_buffers(self, monkeypatch):
+        """Every buffer the engine hands a fused launch."""
+        from repro.pipeline import engine
+
+        seen = []
+        real = engine.run_fused_irregular
+
+        def spy(array, *args, **kwargs):
+            seen.append(array)
+            return real(array, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_fused_irregular", spy)
+        return seen
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("chain", list(FUSED_CHAINS))
+    def test_intermediates_match_sequential(self, rng, backend, chain,
+                                            device_buffers):
+        x = np.repeat(rng.integers(0, 7, 120), rng.integers(1, 4, 120))
+        x = x[:5 * 64 + 13].astype(np.int64)  # a partial last tile
+        cfg = _cfg(backend)
+        steps = FUSED_CHAINS[chain]
+
+        p = Pipeline(config=cfg, fuse=True)
+        futures = _enqueue_chain(p, x, steps)
+        p.run()
+        assert p.last_plan.n_fused_groups == 1
+        assert p.stream.num_launches == 1
+
+        results = [f.result() for f in futures]
+        for rf, rs in zip(results, _sequential_chain(x, steps, cfg)):
+            assert rf.output.dtype == rs.output.dtype
+            assert np.array_equal(rf.output, rs.output)
+            assert rf.extras["n_kept"] == rs.extras["n_kept"]
+            assert rf.extras["n_removed"] == rs.extras["n_removed"]
+
+        (device,) = device_buffers
+        final = results[-1].output
+        for r in results[:-1]:
+            assert not np.shares_memory(r.output, final)
+            assert not np.shares_memory(r.output, device.data)
+            assert not np.shares_memory(r.output, x)
+
+        saved = [r.output.copy() for r in results]
+        x[:] = -1  # the caller reuses its input buffer
+        for r, before in zip(results, saved):
+            assert np.array_equal(r.output, before)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [1, 31, 32, 64, 65],
+                             ids=["1", "W-1", "W", "tile", "tile+1"])
+    @pytest.mark.parametrize("chain", ["compact+unique",
+                                       "compact+remove_if+unique"])
+    def test_fused_output_is_reference_bytes(self, rng, backend, n, chain):
+        x = np.repeat(rng.integers(0, 4, n), 2)[:n].astype(np.float32)
+        steps = FUSED_CHAINS[chain]
+        p = Pipeline(config=_cfg(backend), fuse=True)
+        out = _enqueue_chain(p, x, steps)[-1].output
+        expected = compact_ref(x, 0)
+        if len(steps) == 3:
+            expected = expected[expected.astype(np.int64) % 2 != 0]
+        expected = unique_ref(expected)
+        assert p.stream.num_launches == 1
+        assert out.dtype == expected.dtype
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestBatchObservability:
     def test_batch_record_and_events(self, rng):
         a = rng.integers(0, 5, 500).astype(np.int64)

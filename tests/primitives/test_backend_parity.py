@@ -14,6 +14,7 @@ import pytest
 
 from repro import api
 from repro.config import DSConfig
+from repro.core.fused import FuseStage
 from repro.core.predicates import is_even, less_than
 from repro.primitives import (
     ds_compact_records,
@@ -181,6 +182,89 @@ class TestIrregularParity:
         for field in PARITY_FIELDS:
             assert getattr(counters[0], field) == getattr(counters[1], field)
         assert counters[1].extras.get("vectorized") == 1.0
+
+
+def _fused_side_structures(stages, a, backend, device):
+    """One fused launch on ``backend``: the array, flag chain, carry and
+    carry-valid chain it leaves behind (``run_fused_irregular`` keeps
+    the side structures to itself, so this builds them the same way)."""
+    from repro.core.coarsening import launch_geometry
+    from repro.core.flags import make_flags, make_wg_counter
+    from repro.core.fused import (
+        _vectorized_fused_launch,
+        chain_kernel_name,
+        fused_irregular_kernel,
+    )
+    from repro.simgpu.buffers import Buffer
+    from repro.simgpu.stream import Stream
+
+    geometry = launch_geometry(a.size, device, a.itemsize, wg_size=32,
+                               coarsening=2)
+    grid = geometry.n_workgroups
+    array = Buffer(a.copy(), "fuse_in")
+    flags, counter = make_flags(grid), make_wg_counter()
+    carry = Buffer(np.zeros(grid + 1, dtype=a.dtype), "fuse_carry")
+    valid = Buffer(np.zeros(grid + 1, dtype=np.int64), "fuse_carry_valid")
+    stream = Stream(device, seed=1234)
+    name = chain_kernel_name(stages)
+    if backend == "vectorized":
+        _vectorized_fused_launch(array, stages, carry, valid, flags, counter,
+                                 geometry, a.size, stream, name)
+    else:
+        stream.launch(fused_irregular_kernel, grid_size=grid,
+                      wg_size=geometry.wg_size,
+                      args=(array, flags, counter, carry, valid, stages,
+                            geometry, a.size),
+                      kernel_name=name)
+    n_true = int(flags.data[grid]) - 1
+    return array.data[:n_true], flags.data, carry.data, valid.data
+
+
+def _side_structure_inputs():
+    """int64 inputs with runs of repeats, against a 64-element tile
+    (wg_size 32, coarsening 2).  ``less_than(5)`` is the chains'
+    pre-stencil predicate: 9s never survive it."""
+    rng = np.random.default_rng(7)
+    runs = np.repeat(rng.integers(0, 5, 100), 3)
+    empty_tile = runs[:192].copy()
+    empty_tile[64:128] = 9         # tile 1 keeps no pre-stencil survivor
+    empty_tile[128] = empty_tile[63]  # so tile 2 sees tile 0's carry
+    return {
+        "empty_tile": empty_tile,
+        "partial_tail": runs[:2 * 64 + 17].copy(),
+        "sub_tile": runs[:40].copy(),
+        "all_removed": np.full(150, 9, dtype=np.int64),
+    }
+
+
+class TestFusedSideStructures:
+    """The vectorized fused launch leaves the flag chain, the carry
+    chain and the carry-valid chain exactly as the simulated kernel
+    does — including a stencil-free chain, which only passes the zero
+    carry along."""
+
+    CHAINS = {
+        "pred+stencil": lambda: [FuseStage("pred", less_than(5)),
+                                 FuseStage("stencil")],
+        "stencil+pred": lambda: [FuseStage("stencil"),
+                                 FuseStage("pred", is_even())],
+        "pred+stencil+pred": lambda: [FuseStage("pred", less_than(5)),
+                                      FuseStage("stencil"),
+                                      FuseStage("pred", is_even())],
+        "pred+pred": lambda: [FuseStage("pred", less_than(5)),
+                              FuseStage("pred", is_even())],
+    }
+
+    @pytest.mark.parametrize("case", list(_side_structure_inputs()))
+    @pytest.mark.parametrize("chain", list(CHAINS))
+    def test_side_structures_match(self, maxwell, chain, case):
+        a = _side_structure_inputs()[case]
+        stages = self.CHAINS[chain]()
+        sim = _fused_side_structures(stages, a, "simulated", maxwell)
+        vec = _fused_side_structures(stages, a, "vectorized", maxwell)
+        for what, s, v in zip(("output", "flags", "carry", "carry_valid"),
+                              sim, vec):
+            assert np.array_equal(s, v), f"{what} differs"
 
 
 class TestKeyedParity:
