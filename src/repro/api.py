@@ -28,12 +28,11 @@ array([3., 7., 1.], dtype=float32)
 
 from __future__ import annotations
 
-from dataclasses import fields as _dataclass_fields
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.predicates import Predicate
 from repro.errors import ReproError
 from repro.primitives import (
@@ -85,22 +84,14 @@ def _normalize_backend(backend: str):
         f"'numpy', got {backend!r}{note}")
 
 
-_TUNING_FIELDS = tuple(f.name for f in _dataclass_fields(DSConfig))
-
-
 def _ds_config(primitive: str, config: Optional[DSConfig],
-               ds_backend: Optional[str], kw: dict) -> DSConfig:
+               ds_backend: Optional[str]) -> DSConfig:
     """Build the DS-layer config for one api call.
 
-    Tuning kwargs left in ``kw`` are routed through
-    :func:`repro.config.resolve_config` (same deprecation warning and
-    conflict check as the ``ds_*`` entry points — and they are removed
-    from ``kw`` so they don't reach the primitive twice).  The api's own
-    ``backend=`` parameter is *not* deprecated: it pins the config's
-    backend, conflicting pins raise.
+    The api's own ``backend=`` parameter pins the config's backend;
+    conflicting pins raise.
     """
-    legacy = {name: kw.pop(name) for name in _TUNING_FIELDS if name in kw}
-    cfg = resolve_config(primitive, config, **legacy)
+    cfg = config or DEFAULT_CONFIG
     if ds_backend is not None:
         if cfg.backend is not None and cfg.backend != ds_backend:
             raise ReproError(
@@ -108,12 +99,6 @@ def _ds_config(primitive: str, config: Optional[DSConfig],
                 f"config.backend={cfg.backend!r}")
         cfg = cfg.replace(backend=ds_backend)
     return cfg
-
-
-def _empty_result(values: np.ndarray, extras: dict) -> PrimitiveResult:
-    """Zero-element inputs short-circuit: a launch needs at least one
-    work-group, and the semantics are trivially an empty output."""
-    return _wrap_numpy(np.asarray(values).reshape(-1).copy(), extras)
 
 
 def _wrap_numpy(output: np.ndarray, extras: dict) -> PrimitiveResult:
@@ -134,7 +119,7 @@ def pad(matrix: np.ndarray, columns: int, *, backend: str = "sim",
         result = _wrap_numpy(pad_ref(matrix, columns, fill=fill),
                              {"pad": columns})
     else:
-        cfg = _ds_config("pad", config, ds_backend, kw)
+        cfg = _ds_config("pad", config, ds_backend)
         result = ds_pad(matrix, columns, stream, fill=fill, config=cfg, **kw)
     return result if return_result else result.output
 
@@ -147,7 +132,7 @@ def unpad(matrix: np.ndarray, columns: int, *, backend: str = "sim",
     if use_numpy:
         result = _wrap_numpy(unpad_ref(matrix, columns), {"pad": columns})
     else:
-        cfg = _ds_config("unpad", config, ds_backend, kw)
+        cfg = _ds_config("unpad", config, ds_backend)
         result = ds_unpad(matrix, columns, stream, config=cfg, **kw)
     return result if return_result else result.output
 
@@ -158,13 +143,11 @@ def remove_if(values: np.ndarray, predicate: Predicate, *, backend: str = "sim",
     """Remove elements satisfying ``predicate``, stably and in place
     (DS Remove_if)."""
     use_numpy, ds_backend = _normalize_backend(backend)
-    if np.asarray(values).size == 0:
-        result = _empty_result(values, {"n_kept": 0})
-    elif use_numpy:
+    if use_numpy:
         out = remove_if_ref(values, predicate)
         result = _wrap_numpy(out, {"n_kept": out.size})
     else:
-        cfg = _ds_config("remove_if", config, ds_backend, kw)
+        cfg = _ds_config("remove_if", config, ds_backend)
         result = ds_remove_if(values, predicate, stream, config=cfg, **kw)
     return result if return_result else result.output
 
@@ -174,13 +157,11 @@ def copy_if(values: np.ndarray, predicate: Predicate, *, backend: str = "sim",
             return_result: bool = False, **kw):
     """Copy elements satisfying ``predicate`` to a fresh array (DS Copy_if)."""
     use_numpy, ds_backend = _normalize_backend(backend)
-    if np.asarray(values).size == 0:
-        result = _empty_result(values, {"n_kept": 0})
-    elif use_numpy:
+    if use_numpy:
         out = copy_if_ref(values, predicate)
         result = _wrap_numpy(out, {"n_kept": out.size})
     else:
-        cfg = _ds_config("copy_if", config, ds_backend, kw)
+        cfg = _ds_config("copy_if", config, ds_backend)
         result = ds_copy_if(values, predicate, stream, config=cfg, **kw)
     return result if return_result else result.output
 
@@ -190,13 +171,11 @@ def compact(values: np.ndarray, remove_value, *, backend: str = "sim",
             return_result: bool = False, **kw):
     """Drop every occurrence of ``remove_value`` (DS Stream Compaction)."""
     use_numpy, ds_backend = _normalize_backend(backend)
-    if np.asarray(values).size == 0:
-        result = _empty_result(values, {"n_kept": 0})
-    elif use_numpy:
+    if use_numpy:
         out = compact_ref(values, remove_value)
         result = _wrap_numpy(out, {"n_kept": out.size})
     else:
-        cfg = _ds_config("compact", config, ds_backend, kw)
+        cfg = _ds_config("compact", config, ds_backend)
         result = ds_stream_compact(values, remove_value, stream,
                                    config=cfg, **kw)
     return result if return_result else result.output
@@ -207,13 +186,11 @@ def unique(values: np.ndarray, *, backend: str = "sim",
            return_result: bool = False, **kw):
     """Keep the first of each run of equal consecutive elements (DS Unique)."""
     use_numpy, ds_backend = _normalize_backend(backend)
-    if np.asarray(values).size == 0:
-        result = _empty_result(values, {"n_kept": 0})
-    elif use_numpy:
+    if use_numpy:
         out = unique_ref(values)
         result = _wrap_numpy(out, {"n_kept": out.size})
     else:
-        cfg = _ds_config("unique", config, ds_backend, kw)
+        cfg = _ds_config("unique", config, ds_backend)
         result = ds_unique(values, stream, config=cfg, **kw)
     return result if return_result else result.output
 
@@ -226,13 +203,11 @@ def partition(values: np.ndarray, predicate: Predicate, *, backend: str = "sim",
     Returns ``(array, n_true)`` — or the full result with
     ``return_result=True`` (``extras["n_true"]`` holds the split)."""
     use_numpy, ds_backend = _normalize_backend(backend)
-    if np.asarray(values).size == 0:
-        result = _empty_result(values, {"n_true": 0})
-    elif use_numpy:
+    if use_numpy:
         out, n_true = partition_ref(values, predicate)
         result = _wrap_numpy(out, {"n_true": n_true})
     else:
-        cfg = _ds_config("partition", config, ds_backend, kw)
+        cfg = _ds_config("partition", config, ds_backend)
         result = ds_partition(values, predicate, stream, config=cfg, **kw)
     if return_result:
         return result

@@ -1,18 +1,11 @@
 """``DSConfig`` — the one tuning surface every DS primitive accepts.
 
-Historically each ``ds_*`` entry point repeated the same sprawling
-kwarg list (``wg_size``, ``coarsening``, ``reduction_variant``,
-``scan_variant``, ``race_tracking``, ``backend``, ``seed``).  This
-module replaces that with a single frozen :class:`DSConfig` value:
-
-* every primitive (and :class:`repro.pipeline.Pipeline`) accepts
-  ``config: DSConfig | None``;
-* the old per-primitive kwargs survive as **deprecated aliases** that
-  emit a :class:`DeprecationWarning` (one warning per call, naming
-  every legacy kwarg used) and are checked for conflicts against an
-  explicitly passed ``config``;
-* :meth:`DSConfig.from_env` builds a config from the ``REPRO_*``
-  environment variables, so batch jobs can retune without code changes.
+Every primitive (and :class:`repro.pipeline.Pipeline`) takes its
+tuning as a single frozen :class:`DSConfig` value, ``config=``; there
+is no per-kwarg spelling (``wg_size=``, ``coarsening=``, ...), and
+passing one is a :class:`TypeError`.  :meth:`DSConfig.from_env` builds
+a config from the ``REPRO_*`` environment variables, so batch jobs can
+retune without code changes.
 
 ``DSConfig`` is hashable (frozen dataclass), which is what lets the
 pipeline's plan cache key plans by configuration.
@@ -22,37 +15,14 @@ from __future__ import annotations
 
 import os
 import re
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import LaunchError
 from repro.simgpu.vectorized import resolve_backend
 
-__all__ = ["DSConfig", "UNSET", "resolve_config", "DEFAULT_CONFIG"]
+__all__ = ["DSConfig", "DEFAULT_CONFIG"]
 
-
-class _Unset:
-    """Sentinel default of the deprecated tuning kwargs."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<UNSET>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNSET = _Unset()
-"""Marker distinguishing "kwarg not passed" from any real value."""
-
-_VARIANT_FIELDS = ("reduction_variant", "scan_variant")
 
 # Kept in sync with repro.collectives (wg_reduce / SCAN_VARIANTS); listed
 # here so from_env can validate without importing the collectives layer.
@@ -277,49 +247,3 @@ _ENV_TABLE: EnvTable = (
 )
 
 DEFAULT_CONFIG = DSConfig()
-
-_FIELD_NAMES = tuple(f.name for f in fields(DSConfig))
-
-
-def resolve_config(
-    primitive: str,
-    config: Optional[DSConfig],
-    **legacy,
-) -> DSConfig:
-    """Merge a ``config`` argument with deprecated per-kwarg spellings.
-
-    ``legacy`` maps field names to the values the caller passed (or
-    :data:`UNSET` when the kwarg was omitted).  Any kwarg actually
-    passed emits **one** :class:`DeprecationWarning` per call naming
-    every legacy kwarg used.  When an explicit ``config`` is also
-    given, each legacy value must agree with the config field —
-    a mismatch raises :class:`~repro.errors.LaunchError` rather than
-    silently preferring one spelling.
-    """
-    passed = {}
-    for name, value in legacy.items():
-        if name not in _FIELD_NAMES:
-            raise LaunchError(
-                f"{primitive}: unknown tuning kwarg {name!r}")
-        if value is not UNSET:
-            passed[name] = value
-    if not passed:
-        return config if config is not None else DEFAULT_CONFIG
-    names = ", ".join(sorted(passed))
-    spelled = ", ".join(f"{n}=..." for n in sorted(passed))
-    warnings.warn(
-        f"{primitive}: the tuning kwargs ({names}) are deprecated; "
-        f"pass config=DSConfig({spelled}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if config is None:
-        return DSConfig(**passed)
-    merged = config.replace(**passed)
-    if merged != config:
-        conflicts = [n for n in passed
-                     if getattr(merged, n) != getattr(config, n)]
-        raise LaunchError(
-            f"{primitive}: legacy kwarg(s) {sorted(conflicts)} conflict with "
-            f"the explicit config= value; drop the legacy spelling(s)")
-    return config

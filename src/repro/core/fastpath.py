@@ -1,8 +1,8 @@
 """Vectorized (tile-granularity) executors for the DS kernels.
 
 Each function here is the fast-path twin of one generator kernel in
-:mod:`repro.core.regular`, :mod:`repro.core.irregular`,
-:mod:`repro.core.keyed` or :mod:`repro.simgpu.kernels`: it performs the
+:mod:`repro.core.regular`, :mod:`repro.core.irregular` or
+:mod:`repro.simgpu.kernels`: it performs the
 same in-place data movement as a few whole-array NumPy operations and
 derives the :class:`~repro.simgpu.counters.LaunchCounters` the
 event-level scheduler would have produced (see
@@ -61,7 +61,6 @@ from repro.simgpu.vectorized import (
 __all__ = [
     "vectorized_regular_launch",
     "vectorized_irregular_launch",
-    "vectorized_keyed_launch",
     "vectorized_copy_launch",
 ]
 
@@ -277,6 +276,7 @@ def vectorized_irregular_launch(
     stream: Stream,
     *,
     false_out: Optional[Buffer] = None,
+    payloads: Sequence[Buffer] = (),
     stencil_unique: bool = False,
     kernel_name: str = "irregular_ds",
 ) -> LaunchCounters:
@@ -294,9 +294,12 @@ def vectorized_irregular_launch(
     # partition's true and false halves both see the pristine input.
     kept = vals[kept_pos]
     falses = vals[np.flatnonzero(~keep)] if false_out is not None else None
+    payloads_kept = [p.data[:n][kept_pos] for p in payloads]
     out.data[:n_true] = kept
     if falses is not None:
         false_out.data[: n - n_true] = falses
+    for p, p_kept in zip(payloads, payloads_kept):
+        p.data[:n_true] = p_kept
     t1 = tracer.now_us() if tracer is not None else 0.0
 
     kept_before = np.cumsum(kt) - kt
@@ -304,11 +307,17 @@ def vectorized_irregular_launch(
 
     c = _base_counters(kernel_name, grid, W, stream)
     stencil_loads = grid - 1 if stencil_unique else 0
-    c.n_loads = grid * cf + stencil_loads
+    columns = 1 + len(payloads)
+    c.n_loads = grid * cf * columns + stencil_loads
     _tile_load_accounting(c, array, n, W, stencil_loads)
+    for p in payloads:
+        _tile_load_accounting(c, p, n, W)
 
-    c.n_stores = n_act  # the kept-store event fires even for empty rounds
+    # The kept-store events fire even for empty rounds, once per column.
+    c.n_stores = n_act * columns
     _contiguous_store_accounting(c, out, kt, kept_before, n_true)
+    for p in payloads:
+        _contiguous_store_accounting(c, p, kt, kept_before, n_true)
     if false_out is not None:
         sizes = np.full(n_act, W, dtype=np.int64)
         sizes[-1] = n - (n_act - 1) * W
@@ -316,67 +325,6 @@ def vectorized_irregular_launch(
         false_before = np.cumsum(ft) - ft
         c.n_stores += int((ft > 0).sum())  # false stores only when needed
         _contiguous_store_accounting(c, false_out, ft, false_before, n - n_true)
-
-    c.n_atomics = 3 * grid
-    c.n_barriers = 3 * grid
-
-    _finalize_sync_structures(
-        flags,
-        wg_counter,
-        grid,
-        np.cumsum(workgroup_kept_counts(kt, cf)) + 1,  # encode_count, vector-wide
-    )
-    rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
-    return rec
-
-
-def vectorized_keyed_launch(
-    keys: Buffer,
-    payloads: Sequence[Buffer],
-    flags: Buffer,
-    wg_counter: Buffer,
-    predicate: Optional[Predicate],
-    geometry: LaunchGeometry,
-    total: int,
-    stream: Stream,
-    *,
-    stencil_unique: bool = False,
-    kernel_name: str = "keyed_ds",
-) -> LaunchCounters:
-    """Fast-path twin of :func:`repro.core.keyed.keyed_irregular_ds_kernel`."""
-    grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
-    n = int(total)
-    tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
-    t0 = tracer.now_us() if tracer is not None else 0.0
-    keep = _evaluate_keep(keys.data[:n], predicate, stencil_unique)
-    kept_pos = np.flatnonzero(keep)
-    n_true = int(kept_pos.size)
-    kt = round_kept_counts(kept_pos, n, W)
-    # Gather every column before the first store (the gathers copy).
-    bufs = [keys, *payloads]
-    kept = [buf.data[:n][kept_pos] for buf in bufs]
-    for buf, vals in zip(bufs, kept):
-        buf.data[:n_true] = vals
-    t1 = tracer.now_us() if tracer is not None else 0.0
-
-    kept_before = np.cumsum(kt) - kt
-    n_act = kt.size
-
-    c = _base_counters(kernel_name, grid, W, stream)
-    stencil_loads = grid - 1 if stencil_unique else 0
-    c.n_loads = grid * cf * (1 + len(payloads)) + stencil_loads
-    _tile_load_accounting(c, keys, n, W, stencil_loads)
-    for buf in payloads:
-        _tile_load_accounting(c, buf, n, W)
-
-    c.n_stores = n_act * (1 + len(payloads))
-    _contiguous_store_accounting(c, keys, kt, kept_before, n_true)
-    for buf in payloads:
-        _contiguous_store_accounting(c, buf, kt, kept_before, n_true)
 
     c.n_atomics = 3 * grid
     c.n_barriers = 3 * grid

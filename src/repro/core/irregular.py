@@ -30,12 +30,20 @@ An optional ``false_out`` receives the predicate-false elements (used
 by partition); their destination needs **no second chain**, because the
 number of false elements before global position *g* is simply
 ``g - trues_before(g)``.
+
+Keyed launches (``payloads``) evaluate the predicate, or the unique
+stencil, on the *key* array and slide any number of same-length payload
+buffers by the same offsets, in place: the structure-of-arrays layout
+of relational tables (:func:`~repro.primitives.records.ds_compact_records`,
+:func:`~repro.primitives.unique_by_key.ds_unique_by_key`).  The flag
+chain is shared; every payload shrinks with the key's source and
+destination indices, so the head-first argument covers each buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +78,7 @@ def irregular_ds_kernel(
     total: int,
     *,
     false_out: Optional[Buffer] = None,
+    payloads: Sequence[Buffer] = (),
     stencil_unique: bool = False,
     reduction_variant: str = "tree",
     scan_variant: str = "tree",
@@ -83,7 +92,9 @@ def irregular_ds_kernel(
     stencil: an element is "true" (kept) when it differs from its left
     neighbour; the neighbour of a tile's first element is read directly
     from global memory during the loading stage, as the paper describes
-    (Section IV-C).  In that mode ``predicate`` is ignored.
+    (Section IV-C).  In that mode ``predicate`` is ignored.  Each round
+    loads every ``payloads`` tile after the key tile and stores it, in
+    place, after the key store.
     """
     allocator = dynamic_wg_id if id_allocation == "dynamic" else static_wg_id
     wg_id = yield from allocator(wg, wg_counter)
@@ -94,6 +105,8 @@ def irregular_ds_kernel(
     tile_positions = base + np.arange(geometry.tile_size, dtype=np.int64)
     tile_positions = tile_positions[tile_positions < total]
     wg.declare_reads(array, tile_positions)
+    for p in payloads:
+        wg.declare_reads(p, tile_positions)
 
     # The unique stencil needs the element just before the tile.  It is
     # loaded during the loading stage; an earlier-chained group may have
@@ -108,7 +121,7 @@ def irregular_ds_kernel(
 
     # -- Loading stage with per-work-item counting. ---------------------------
     with wg.phase("load", rounds=geometry.coarsening):
-        staged: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        staged: list[tuple[np.ndarray, np.ndarray, np.ndarray, list]] = []
         lane_counts = np.zeros(wg.size, dtype=np.int64)
         pos = base + wg.wi_id
         prev_round_last = left_neighbor
@@ -116,6 +129,9 @@ def irregular_ds_kernel(
             lane_active = pos < total
             active = pos[lane_active]
             values = yield from wg.load(array, active)
+            payload_values = []
+            for p in payloads:
+                payload_values.append((yield from wg.load(p, active)))
             if stencil_unique:
                 flags_true = np.empty(values.shape, dtype=bool)
                 if values.size:
@@ -128,7 +144,7 @@ def irregular_ds_kernel(
             else:
                 flags_true = predicate(values)
             lane_counts[lane_active] += flags_true
-            staged.append((active, values, flags_true))
+            staged.append((active, values, flags_true, payload_values))
             pos = pos + wg.size
 
     # -- Reduction before the synchronization (default, shorter chain). -------
@@ -139,7 +155,7 @@ def irregular_ds_kernel(
     with wg.phase("reduce", variant=reduction_variant):
         precomputed_ranks: list[np.ndarray] = []
         if scan_first:
-            for active, _values, flags_true in staged:
+            for active, _values, flags_true, _payload in staged:
                 full_pred = np.zeros(wg.size, dtype=bool)
                 full_pred[: active.size] = flags_true
                 with wg.phase("scan", variant=scan_variant):
@@ -168,7 +184,8 @@ def irregular_ds_kernel(
     # -- Storing stage: binary prefix sum ranks each true element. ------------
     with wg.phase("store"):
         running = previous_total
-        for round_idx, (active, values, flags_true) in enumerate(staged):
+        for round_idx, staged_round in enumerate(staged):
+            active, values, flags_true, payload_values = staged_round
             if active.size == 0:
                 continue
             if scan_first:
@@ -182,6 +199,8 @@ def irregular_ds_kernel(
             true_ranks = ranks[: active.size][flags_true]
             out_pos = running + true_ranks
             yield from wg.store(out, out_pos, values[flags_true])
+            for p, vals in zip(payloads, payload_values):
+                yield from wg.store(p, out_pos, vals[flags_true])
             if false_out is not None and (~flags_true).any():
                 false_mask = ~flags_true
                 g = active[false_mask]  # absolute input positions
@@ -211,6 +230,7 @@ def run_irregular_ds(
     *,
     out: Optional[Buffer] = None,
     false_out: Optional[Buffer] = None,
+    payloads: Optional[Sequence[Buffer]] = None,
     total: Optional[int] = None,
     wg_size: int = 256,
     coarsening: Optional[int] = None,
@@ -229,6 +249,8 @@ def run_irregular_ds(
     paper's DS Remove_if / Stream Compaction / Unique); passing a
     distinct ``out`` gives the out-of-place DS Copy_if.  ``false_out``
     additionally collects the predicate-false elements (partition).
+    ``payloads`` makes the launch keyed: each payload buffer (at least
+    ``total`` elements) slides in place to its key's position.
 
     ``backend`` selects the event-level scheduler (``"simulated"``) or
     the tile-granularity fast path (``"vectorized"``); ``None`` defers
@@ -247,13 +269,23 @@ def run_irregular_ds(
         raise LaunchError(f"input size must be positive, got {n}")
     if n > array.size:
         raise LaunchError(f"total {n} exceeds buffer {array.name!r} size {array.size}")
+    label = "unique" if stencil_unique else predicate.name
+    if payloads is None:
+        payloads = []
+        kernel_name = f"irregular_ds[{label}]"
+    else:
+        payloads = list(payloads)
+        kernel_name = f"keyed_ds[{label} x{len(payloads)} payloads]"
+    for buf in payloads:
+        if buf.size < n:
+            raise LaunchError(
+                f"buffer {buf.name!r} has {buf.size} elements, needs {n}")
     destination = out if out is not None else array
     geometry = launch_geometry(
         n, stream.device, array.itemsize, wg_size=wg_size, coarsening=coarsening
     )
     flags = make_flags(geometry.n_workgroups)
     counter = make_wg_counter()
-    kernel_name = f"irregular_ds[{'unique' if stencil_unique else predicate.name}]"
     resolved = resolve_backend(backend)
     if race_tracking or not sync or id_allocation != "dynamic":
         resolved = "simulated"
@@ -261,12 +293,14 @@ def run_irregular_ds(
         counters = vectorized_irregular_launch(
             array, destination, flags, counter, predicate, geometry, n, stream,
             false_out=false_out,
+            payloads=payloads,
             stencil_unique=stencil_unique,
             kernel_name=kernel_name,
         )
     else:
-        if race_tracking:
-            array.arm_race_tracking()
+        tracked = [array, *payloads] if race_tracking else []
+        for buf in tracked:
+            buf.arm_race_tracking()
         try:
             counters = stream.launch(
                 irregular_ds_kernel,
@@ -277,6 +311,7 @@ def run_irregular_ds(
                       geometry, n),
                 kwargs={
                     "false_out": false_out,
+                    "payloads": payloads,
                     "stencil_unique": stencil_unique,
                     "reduction_variant": reduction_variant,
                     "scan_variant": scan_variant,
@@ -287,8 +322,8 @@ def run_irregular_ds(
                 kernel_name=kernel_name,
             )
         finally:
-            if race_tracking:
-                array.disarm_race_tracking()
+            for buf in tracked:
+                buf.disarm_race_tracking()
     n_true = int(flags.data[geometry.n_workgroups]) - 1
     counters.extras["coarsening"] = geometry.coarsening
     counters.extras["spilled"] = float(geometry.spilled)

@@ -20,7 +20,7 @@ Passing a future as an input expresses a dependency; the planner
 back-to-back in-place filters into single launches.  Reading
 ``future.result()`` (or ``.output``) runs the pipeline on demand.
 
-A pipelined op executes through the *same runner* a direct ``ds_*``
+A pipelined op executes through the *same* ``ds_*`` function a direct
 call uses, on one shared stream, under one root span per batch — so
 ``Pipeline(fuse=False)`` output **and counters** match the sequential
 calls exactly, which the parity tests assert.
@@ -29,15 +29,12 @@ calls exactly, which the parity tests assert.
 from __future__ import annotations
 
 import functools
-import inspect
-import threading
-from collections import OrderedDict
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.fused import run_fused_irregular
 from repro.errors import LaunchError
 from repro.futures import Future
@@ -60,7 +57,7 @@ from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
 
-__all__ = ["Pipeline", "DSFuture", "signature_cache_stats"]
+__all__ = ["Pipeline", "DSFuture"]
 
 
 class DSFuture(Future):
@@ -131,65 +128,12 @@ def _walk_deps(value, out: set, owner: "Pipeline") -> None:
             _walk_deps(v, out, owner)
 
 
-# Signature memoization is bounded (same default as PlanCache): a
-# long-running server enqueueing through many distinct runner objects
-# must not leak, and hit/miss counts surface through repro.obs as
-# pipeline.signature_cache.{hits,misses}.
-_SIGNATURE_CACHE_MAX = 256
-_signature_cache: "OrderedDict[object, Tuple[str, ...]]" = OrderedDict()
-_signature_lock = threading.Lock()
-_signature_stats = {"hits": 0, "misses": 0}
-
-
-def _signature_metric(outcome: str) -> None:
-    _signature_stats[outcome] += 1  # caller holds _signature_lock
-    tracer = _obs.active()
-    if tracer is not None:
-        tracer.metrics.counter(f"pipeline.signature_cache.{outcome}").inc()
-
-
-def signature_cache_stats() -> dict:
-    """Hit/miss/size snapshot of the signature cache — available with
-    or without a tracer (``Server.stats()`` reads it on demand)."""
-    with _signature_lock:
-        hits = _signature_stats["hits"]
-        misses = _signature_stats["misses"]
-        size = len(_signature_cache)
-    total = hits + misses
-    return {"hits": hits, "misses": misses, "size": size,
-            "hit_rate": (hits / total) if total else 0.0}
-
-
-def _data_param_names(runner) -> Tuple[str, ...]:
-    """The runner's leading data-parameter names, in declaration order,
-    stopping at ``stream`` (which the engine supplies itself)."""
-    with _signature_lock:
-        names = _signature_cache.get(runner)
-        if names is not None:
-            _signature_cache.move_to_end(runner)
-            _signature_metric("hits")
-            return names
-    names = []
-    for p in inspect.signature(runner).parameters.values():
-        if (p.kind not in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-                or p.name == "stream"):
-            break
-        names.append(p.name)
-    names = tuple(names)
-    with _signature_lock:
-        _signature_metric("misses")
-        _signature_cache[runner] = names
-        while len(_signature_cache) > _SIGNATURE_CACHE_MAX:
-            _signature_cache.popitem(last=False)
-    return names
-
-
 def _normalize_call(desc: OpDescriptor, args: tuple, kwargs: dict):
     """Shift data parameters passed by keyword into their positional
     slots, so descriptor lambdas (``params_signature``/``fuse_stage``)
     that index ``args`` see one canonical shape regardless of how the
     caller spelled the call (``p.remove_if(x, predicate=...)``)."""
-    names = _data_param_names(desc.runner)
+    names = desc.data_params
     if not any(name in kwargs for name in names[len(args):]):
         return args, kwargs
     args = list(args)
@@ -226,8 +170,7 @@ class Pipeline:
     config:
         Default :class:`~repro.config.DSConfig` for every enqueued op
         (each enqueue method also accepts a per-op ``config=``
-        override).  The per-kwarg tuning spellings are accepted as
-        deprecated aliases, exactly like the ``ds_*`` entry points.
+        override).
     fuse:
         Allow collapsing chained in-place filters into fused launches.
         ``fuse=False`` keeps one launch per op — byte-for-byte counter
@@ -245,18 +188,8 @@ class Pipeline:
         config: Optional[DSConfig] = None,
         fuse: bool = True,
         plan_cache: Optional[PlanCache] = None,
-        wg_size=UNSET,
-        coarsening=UNSET,
-        reduction_variant=UNSET,
-        scan_variant=UNSET,
-        race_tracking=UNSET,
-        backend=UNSET,
-        seed=UNSET,
     ) -> None:
-        self.config = resolve_config(
-            "Pipeline", config, wg_size=wg_size, coarsening=coarsening,
-            reduction_variant=reduction_variant, scan_variant=scan_variant,
-            race_tracking=race_tracking, backend=backend, seed=seed)
+        self.config = config or DEFAULT_CONFIG
         self.fuse = bool(fuse)
         self.plan_cache = plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
         self.stream = resolve_stream(stream, seed=self.config.seed)

@@ -21,9 +21,9 @@ Keyed (multi-column) irregular DS algorithms:
 :func:`~repro.primitives.records.ds_compact_records`.
 
 Every primitive takes its tuning through a
-:class:`repro.config.DSConfig` (``config=``); the per-kwarg tuning
-spellings remain as deprecated aliases.  For batched execution of
-several primitives, see :class:`repro.pipeline.Pipeline`.
+:class:`repro.config.DSConfig` (``config=``), the only tuning spelling.
+For batched execution of several primitives, see
+:class:`repro.pipeline.Pipeline`.
 """
 
 from repro.primitives.alignment import alignment_pad_columns, ds_pad_to_alignment

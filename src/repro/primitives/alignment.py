@@ -14,11 +14,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.errors import LaunchError
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
 from repro.primitives.opspec import OpDescriptor, register_op
-from repro.primitives.padding import _run_pad
+from repro.primitives.padding import ds_pad
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
 
@@ -43,14 +43,21 @@ def alignment_pad_columns(cols: int, itemsize: int,
     return (-cols) % elems_per_align
 
 
-def _run_pad_to_alignment(
+def ds_pad_to_alignment(
     matrix: np.ndarray,
     alignment_bytes: int = 128,
     stream: StreamLike = None,
     *,
     fill=None,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Pad a row-major matrix so each row starts on an
+    ``alignment_bytes`` boundary, using a single in-place DS Padding
+    launch.  ``extras["pad"]`` reports the inserted columns (possibly
+    zero, in which case the matrix is returned unchanged without a
+    launch).  Tuning goes through ``config=``
+    (:class:`repro.config.DSConfig`)."""
+    config = config or DEFAULT_CONFIG
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise LaunchError(
@@ -69,41 +76,16 @@ def _run_pad_to_alignment(
         alignment_bytes=alignment_bytes, dtype=str(matrix.dtype),
         wg_size=config.wg_size,
     ):
-        result = _run_pad(matrix, pad, stream, fill=fill, config=config)
+        result = ds_pad(matrix, pad, stream, fill=fill, config=config)
     result.extras["alignment_bytes"] = alignment_bytes
     return result
-
-
-def ds_pad_to_alignment(
-    matrix: np.ndarray,
-    alignment_bytes: int = 128,
-    stream: StreamLike = None,
-    *,
-    fill=None,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Pad a row-major matrix so each row starts on an
-    ``alignment_bytes`` boundary, using a single in-place DS Padding
-    launch.  ``extras["pad"]`` reports the inserted columns (possibly
-    zero, in which case the matrix is returned unchanged without a
-    launch).  Tuning goes through ``config=``; the per-kwarg spellings
-    are deprecated aliases."""
-    config = resolve_config(
-        "ds_pad_to_alignment", config, wg_size=wg_size,
-        coarsening=coarsening, backend=backend, seed=seed)
-    return _run_pad_to_alignment(matrix, alignment_bytes, stream, fill=fill,
-                                 config=config)
 
 
 register_op(OpDescriptor(
     name="ds_pad_to_alignment",
     short="pad_to_alignment",
     kind="regular",
-    runner=_run_pad_to_alignment,
+    runner=ds_pad_to_alignment,
     params_signature=lambda args, kwargs: (
         "alignment_bytes", int(args[1]) if len(args) > 1 else 128,
         "fill", repr(kwargs.get("fill"))),

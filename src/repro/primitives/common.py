@@ -10,8 +10,8 @@ The helpers here keep that surface uniform:
   a device name, or ``None`` (defaulting to the paper's primary
   evaluation device, Maxwell);
 * :func:`resolve_backend` (re-exported from
-  :mod:`repro.simgpu.vectorized`) resolves the ``backend=`` argument
-  every primitive accepts — ``"simulated"`` for the event-level
+  :mod:`repro.simgpu.vectorized`) resolves the ``DSConfig.backend``
+  every primitive takes — ``"simulated"`` for the event-level
   scheduler, ``"vectorized"`` for the tile-granularity fast path with
   closed-form counters, ``None`` for the ``REPRO_BACKEND`` environment
   override;
@@ -20,7 +20,9 @@ The helpers here keep that surface uniform:
   variable (``off`` / ``spans`` / ``full``) the same way
   ``REPRO_BACKEND`` is resolved — set it and the next primitive call
   auto-installs a process-global tracer (see :mod:`repro.obs`);
-* :class:`PrimitiveResult` is the common result envelope.
+* :class:`PrimitiveResult` is the common result envelope;
+* :func:`empty_result` is what the filters (compact, unique, remove_if,
+  copy_if, partition) return for a zero-element input.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "primitive_span",
     "BACKENDS",
     "PrimitiveResult",
+    "empty_result",
     "DEFAULT_DEVICE",
 ]
 
@@ -164,3 +167,12 @@ class PrimitiveResult:
     @property
     def bytes_moved(self) -> int:
         return sum(c.bytes_moved for c in self.counters)
+
+
+def empty_result(values: np.ndarray, stream, **extras) -> PrimitiveResult:
+    """A filter's result for a zero-element input: the reference's
+    empty output and no launch records (a launch needs at least one
+    work-group, and there is nothing to slide)."""
+    return PrimitiveResult(output=values.reshape(-1).copy(), counters=[],
+                           device=resolve_stream(stream).device,
+                           extras=extras)

@@ -15,11 +15,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.fused import FuseStage
 from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import not_equal_to
-from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
+from repro.primitives.common import (
+    PrimitiveResult,
+    empty_result,
+    primitive_span,
+    resolve_stream,
+)
 from repro.primitives.opspec import OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
@@ -28,14 +33,24 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_stream_compact"]
 
 
-def _run_stream_compact(
+def ds_stream_compact(
     values: np.ndarray,
     remove_value,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Remove every occurrence of ``remove_value``, sliding the kept
+    elements left in place (stable).
+
+    ``output`` is the compacted array; ``extras["n_kept"]`` its length.
+    Tuning goes through ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values)
+    if values.size == 0:
+        return empty_result(values, stream, n_kept=0, n_removed=0,
+                            remove_value=remove_value, in_place=True)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(values.reshape(-1), "compact_in")
     with primitive_span(
@@ -71,39 +86,11 @@ def _run_stream_compact(
     )
 
 
-def ds_stream_compact(
-    values: np.ndarray,
-    remove_value,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Remove every occurrence of ``remove_value``, sliding the kept
-    elements left in place (stable).
-
-    ``output`` is the compacted array; ``extras["n_kept"]`` its length.
-    Tuning goes through ``config=``; the per-kwarg spellings are
-    deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_stream_compact", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_stream_compact(values, remove_value, stream, config=config)
-
-
 register_op(OpDescriptor(
     name="ds_stream_compact",
     short="compact",
     kind="irregular",
-    runner=_run_stream_compact,
+    runner=ds_stream_compact,
     params_signature=lambda args, kwargs: ("remove_value", repr(args[1])),
     fuse_stage=lambda args, kwargs: FuseStage(
         "pred", not_equal_to(args[1])),

@@ -1,10 +1,8 @@
 """The shared op-descriptor layer behind every DS primitive.
 
-Each ``ds_*`` entry point is a thin wrapper over an
-:class:`OpDescriptor` registered here: the wrapper resolves the
-``config``/deprecated-kwarg surface (:func:`repro.config.resolve_config`)
-and delegates to the descriptor's *runner* — the function that prepares
-device buffers, launches the kernels and assembles the
+Each ``ds_*`` function is registered here as the *runner* of an
+:class:`OpDescriptor`: the function that prepares device buffers,
+launches the kernels and assembles the
 :class:`~repro.primitives.common.PrimitiveResult`.
 
 The registry is what makes the batch surfaces possible without
@@ -14,7 +12,7 @@ duplicating any primitive logic:
   name through :func:`get_op`;
 * :class:`repro.pipeline.Pipeline` enqueues ``(descriptor, args)``
   pairs, plans them as a batch, and executes each op through the same
-  runner the direct call would have used — so a pipelined op and a
+  ``ds_*`` function a direct call uses — so a pipelined op and a
   direct call are *the same code path*, which is what the
   pipeline-vs-sequential parity tests assert;
 * descriptors of fusable irregular ops expose a
@@ -24,7 +22,8 @@ duplicating any primitive logic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -66,9 +65,14 @@ class OpDescriptor:
         (predicate/stencil filter), ``"keyed"`` (multi-column), or
         ``"meta"`` (composes other primitives).
     runner:
-        ``runner(*args, stream=..., config=..., **kwargs)`` executing
-        the primitive and returning a ``PrimitiveResult``.  Positional
-        ``args`` are the user's data arguments (no stream).
+        The public ``ds_*`` function,
+        ``runner(*args, stream=..., config=..., **kwargs)``, returning a
+        ``PrimitiveResult``.  Positional ``args`` are the user's data
+        arguments (no stream).
+    data_params:
+        The names of ``runner``'s leading data parameters, in order,
+        up to ``stream`` (derived from its signature when the
+        descriptor is built).
     params_signature:
         ``(args, kwargs) -> hashable`` — the op's non-array parameters
         as they affect planning/caching (predicate names, pad widths,
@@ -85,6 +89,17 @@ class OpDescriptor:
     runner: Callable
     params_signature: Callable = lambda args, kwargs: ()
     fuse_stage: Optional[Callable] = None
+    data_params: Tuple[str, ...] = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self) -> None:
+        names = []
+        for p in inspect.signature(self.runner).parameters.values():
+            if (p.kind not in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                    or p.name == "stream"):
+                break
+            names.append(p.name)
+        object.__setattr__(self, "data_params", tuple(names))
 
     @property
     def fusable(self) -> bool:

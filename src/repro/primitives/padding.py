@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.offsets import pad_remap
 from repro.core.regular import run_regular_ds
 from repro.errors import LaunchError
@@ -32,14 +32,39 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_pad", "ds_pad_buffer"]
 
 
-def _run_pad(
+def ds_pad(
     matrix: np.ndarray,
     pad: int,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
     fill=None,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Pad ``pad`` extra columns onto a 2-D matrix using DS Padding.
+
+    Parameters
+    ----------
+    matrix:
+        Host 2-D array (any dtype).  It is copied into a device buffer
+        with room for the padded matrix — the in-place requirement of
+        the paper is that the *device* allocation is a single buffer,
+        which it is.
+    pad:
+        Number of columns to append.
+    fill:
+        Optional value for the new cells; ``None`` (the default) leaves
+        them unspecified, matching the paper's pure-movement semantics
+        (the result array then contains the buffer's prior contents,
+        i.e. stale data, in those cells).
+    stream, config:
+        Execution controls; see :class:`repro.config.DSConfig`.
+
+    Returns
+    -------
+    PrimitiveResult
+        ``output`` is the ``rows x (cols + pad)`` matrix.
+    """
+    config = config or DEFAULT_CONFIG
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise LaunchError(f"ds_pad expects a 2-D matrix, got ndim={matrix.ndim}")
@@ -77,50 +102,6 @@ def _run_pad(
     )
 
 
-def ds_pad(
-    matrix: np.ndarray,
-    pad: int,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    fill=None,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Pad ``pad`` extra columns onto a 2-D matrix using DS Padding.
-
-    Parameters
-    ----------
-    matrix:
-        Host 2-D array (any dtype).  It is copied into a device buffer
-        with room for the padded matrix — the in-place requirement of
-        the paper is that the *device* allocation is a single buffer,
-        which it is.
-    pad:
-        Number of columns to append.
-    fill:
-        Optional value for the new cells; ``None`` (the default) leaves
-        them unspecified, matching the paper's pure-movement semantics
-        (the result array then contains the buffer's prior contents,
-        i.e. stale data, in those cells).
-    stream, config:
-        Execution controls; see :class:`repro.config.DSConfig`.  The
-        per-kwarg tuning spellings are deprecated aliases.
-
-    Returns
-    -------
-    PrimitiveResult
-        ``output`` is the ``rows x (cols + pad)`` matrix.
-    """
-    config = resolve_config(
-        "ds_pad", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_pad(matrix, pad, stream, fill=fill, config=config)
-
-
 def ds_pad_buffer(
     buf: Buffer,
     rows: int,
@@ -129,10 +110,6 @@ def ds_pad_buffer(
     stream: Stream,
     *,
     config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
 ):
     """In-place DS Padding on an existing device buffer.
 
@@ -141,9 +118,7 @@ def ds_pad_buffer(
     — the pre-allocated adjacent space the paper requires.  Returns the
     :class:`~repro.core.regular.RegularDSResult` of the single launch.
     """
-    config = resolve_config(
-        "ds_pad_buffer", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend)
+    config = config or DEFAULT_CONFIG
     remap = pad_remap(rows, cols, pad)
     return run_regular_ds(
         buf,
@@ -160,7 +135,7 @@ register_op(OpDescriptor(
     name="ds_pad",
     short="pad",
     kind="regular",
-    runner=_run_pad,
+    runner=ds_pad,
     params_signature=lambda args, kwargs: (
         "pad", int(args[1]), "fill", repr(kwargs.get("fill"))),
 ))

@@ -25,11 +25,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.fastpath import vectorized_copy_launch
 from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import Predicate
-from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
+from repro.primitives.common import (
+    PrimitiveResult,
+    empty_result,
+    primitive_span,
+    resolve_stream,
+)
 from repro.primitives.opspec import OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
@@ -40,16 +45,28 @@ from repro.simgpu.vectorized import resolve_backend
 __all__ = ["ds_partition", "copy_kernel"]
 
 
-def _run_partition(
+def ds_partition(
     values: np.ndarray,
     predicate: Predicate,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
     in_place: bool = True,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Stable-partition ``values`` by ``predicate``.
+
+    ``output`` is the partitioned array (true half first);
+    ``extras["n_true"]`` is the split point.  ``in_place=False`` runs
+    the single-launch out-of-place variant (DS Partition out-of-place in
+    Figure 19); ``in_place=True`` adds the false-tail copy-back launch.
+    Tuning goes through ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values)
     n = values.size
+    if n == 0:
+        return empty_result(values, stream, n_true=0, n_false=0,
+                            in_place=in_place)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(values.reshape(-1), "partition_in")
     aux = Buffer(np.zeros(n, dtype=values.dtype), "partition_false")
@@ -127,42 +144,11 @@ def _run_partition(
     )
 
 
-def ds_partition(
-    values: np.ndarray,
-    predicate: Predicate,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    in_place: bool = True,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Stable-partition ``values`` by ``predicate``.
-
-    ``output`` is the partitioned array (true half first);
-    ``extras["n_true"]`` is the split point.  ``in_place=False`` runs
-    the single-launch out-of-place variant (DS Partition out-of-place in
-    Figure 19); ``in_place=True`` adds the false-tail copy-back launch.
-    Tuning goes through ``config=``; the per-kwarg spellings are
-    deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_partition", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        backend=backend, seed=seed)
-    return _run_partition(values, predicate, stream, in_place=in_place,
-                          config=config)
-
-
 register_op(OpDescriptor(
     name="ds_partition",
     short="partition",
     kind="irregular",
-    runner=_run_partition,
+    runner=ds_partition,
     params_signature=lambda args, kwargs: (
         "predicate", args[1].name,
         "in_place", bool(kwargs.get("in_place", True))),

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.offsets import ragged_pad_remap, ragged_unpad_remap
 from repro.core.regular import run_regular_ds
 from repro.errors import LaunchError
@@ -35,15 +35,38 @@ __all__ = ["ds_ragged_pad", "ds_ragged_unpad"]
 StreamLike = Optional[Union[Stream, DeviceSpec, str]]
 
 
-def _run_ragged_pad(
+def ds_ragged_pad(
     values: np.ndarray,
     widths,
     stride: Optional[int] = None,
     stream: StreamLike = None,
     *,
     fill=None,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Slide packed ragged rows out to a uniform stride, in place.
+
+    Parameters
+    ----------
+    values:
+        The packed row data (``sum(widths)`` elements).
+    widths:
+        Elements per row.
+    stride:
+        Uniform row stride after the slide; defaults to the widest row.
+    fill:
+        Optional value for each row's padding tail (host epilogue, like
+        :func:`~repro.primitives.padding.ds_pad`'s).
+    config:
+        Execution controls (:class:`repro.config.DSConfig`).
+
+    Returns
+    -------
+    PrimitiveResult
+        ``output`` is the ``(n_rows, stride)`` matrix;
+        ``extras["widths"]`` echoes the row widths for the inverse.
+    """
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values).reshape(-1)
     widths = np.asarray(widths, dtype=np.int64)
     if values.size != int(widths.sum()):
@@ -80,57 +103,20 @@ def _run_ragged_pad(
     )
 
 
-def ds_ragged_pad(
-    values: np.ndarray,
-    widths,
-    stride: Optional[int] = None,
-    stream: StreamLike = None,
-    *,
-    fill=None,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Slide packed ragged rows out to a uniform stride, in place.
-
-    Parameters
-    ----------
-    values:
-        The packed row data (``sum(widths)`` elements).
-    widths:
-        Elements per row.
-    stride:
-        Uniform row stride after the slide; defaults to the widest row.
-    fill:
-        Optional value for each row's padding tail (host epilogue, like
-        :func:`~repro.primitives.padding.ds_pad`'s).
-    config:
-        Execution controls (:class:`repro.config.DSConfig`); the
-        per-kwarg tuning spellings are deprecated aliases.
-
-    Returns
-    -------
-    PrimitiveResult
-        ``output`` is the ``(n_rows, stride)`` matrix;
-        ``extras["widths"]`` echoes the row widths for the inverse.
-    """
-    config = resolve_config(
-        "ds_ragged_pad", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_ragged_pad(values, widths, stride, stream, fill=fill,
-                           config=config)
-
-
-def _run_ragged_unpad(
+def ds_ragged_unpad(
     matrix: np.ndarray,
     widths,
     stream: StreamLike = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Pack a uniform-stride matrix back into ragged rows, in place.
+
+    ``matrix`` is ``(n_rows, stride)``; ``output`` is the packed values
+    array of ``sum(widths)`` elements (row contents concatenated, each
+    row's padding dropped).  Tuning goes through ``config=``
+    (:class:`repro.config.DSConfig`)."""
+    config = config or DEFAULT_CONFIG
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise LaunchError(
@@ -162,30 +148,6 @@ def _run_ragged_unpad(
     )
 
 
-def ds_ragged_unpad(
-    matrix: np.ndarray,
-    widths,
-    stream: StreamLike = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Pack a uniform-stride matrix back into ragged rows, in place.
-
-    ``matrix`` is ``(n_rows, stride)``; ``output`` is the packed values
-    array of ``sum(widths)`` elements (row contents concatenated, each
-    row's padding dropped).  Tuning goes through ``config=``; the
-    per-kwarg spellings are deprecated aliases."""
-    config = resolve_config(
-        "ds_ragged_unpad", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_ragged_unpad(matrix, widths, stream, config=config)
-
-
 def _widths_signature(widths) -> tuple:
     widths = np.asarray(widths, dtype=np.int64)
     return (int(widths.size), int(widths.sum()),
@@ -196,7 +158,7 @@ register_op(OpDescriptor(
     name="ds_ragged_pad",
     short="ragged_pad",
     kind="regular",
-    runner=_run_ragged_pad,
+    runner=ds_ragged_pad,
     params_signature=lambda args, kwargs: (
         "widths", _widths_signature(args[1]),
         "stride", None if len(args) < 3 or args[2] is None else int(args[2]),
@@ -207,7 +169,7 @@ register_op(OpDescriptor(
     name="ds_ragged_unpad",
     short="ragged_unpad",
     kind="regular",
-    runner=_run_ragged_unpad,
+    runner=ds_ragged_unpad,
     params_signature=lambda args, kwargs: (
         "widths", _widths_signature(args[1])),
 ))

@@ -2,10 +2,11 @@
 
 Real relational rows are several same-length columns (structure of
 arrays).  :func:`ds_compact_records` filters a whole record set by a
-predicate on one key column with a **single** keyed irregular DS
-launch: every column compacts in place, stably, sharing one flag chain.
-This is the paper's relational-algebra motivation (Section I) executed
-on actual multi-column records rather than a lone array.
+predicate on one key column with a **single** Algorithm 2 launch whose
+payloads are the other columns: every column compacts in place,
+stably, sharing one flag chain.  This is the paper's relational-algebra
+motivation (Section I) executed on actual multi-column records rather
+than a lone array.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
-from repro.core.keyed import run_keyed_irregular_ds
+from repro.config import DEFAULT_CONFIG, DSConfig
+from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import Predicate
 from repro.errors import LaunchError
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
@@ -27,14 +28,34 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_compact_records"]
 
 
-def _run_compact_records(
+def ds_compact_records(
     key_column: np.ndarray,
     columns: Dict[str, np.ndarray],
     predicate: Predicate,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Keep the records whose key satisfies ``predicate``.
+
+    Parameters
+    ----------
+    key_column:
+        The column the predicate is evaluated on.
+    columns:
+        Named payload columns (same length as the key column); every
+        one slides in the same launch.
+    config:
+        Execution controls (:class:`repro.config.DSConfig`).
+
+    Returns
+    -------
+    PrimitiveResult
+        ``output`` is the kept key column; ``extras["columns"]`` maps
+        each payload name to its kept column; ``extras["n_kept"]`` is
+        the surviving record count.
+    """
+    config = config or DEFAULT_CONFIG
     key_column = np.asarray(key_column).reshape(-1)
     n = key_column.size
     names = list(columns)
@@ -55,8 +76,8 @@ def _run_compact_records(
         n_columns=len(names), dtype=str(key_column.dtype),
         wg_size=config.wg_size,
     ) as sp:
-        result = run_keyed_irregular_ds(
-            kbuf, pbufs, predicate, stream,
+        result = run_irregular_ds(
+            kbuf, predicate, stream, payloads=pbufs,
             wg_size=config.wg_size, coarsening=config.coarsening,
             reduction_variant=config.reduction_variant,
             scan_variant=config.scan_variant,
@@ -80,54 +101,11 @@ def _run_compact_records(
     )
 
 
-def ds_compact_records(
-    key_column: np.ndarray,
-    columns: Dict[str, np.ndarray],
-    predicate: Predicate,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Keep the records whose key satisfies ``predicate``.
-
-    Parameters
-    ----------
-    key_column:
-        The column the predicate is evaluated on.
-    columns:
-        Named payload columns (same length as the key column); every
-        one slides in the same launch.
-    config:
-        Execution controls (:class:`repro.config.DSConfig`); the
-        per-kwarg tuning spellings are deprecated aliases.
-
-    Returns
-    -------
-    PrimitiveResult
-        ``output`` is the kept key column; ``extras["columns"]`` maps
-        each payload name to its kept column; ``extras["n_kept"]`` is
-        the surviving record count.
-    """
-    config = resolve_config(
-        "ds_compact_records", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_compact_records(key_column, columns, predicate, stream,
-                                config=config)
-
-
 register_op(OpDescriptor(
     name="ds_compact_records",
     short="compact_records",
     kind="keyed",
-    runner=_run_compact_records,
+    runner=ds_compact_records,
     params_signature=lambda args, kwargs: (
         "columns", tuple(sorted(args[1])), "predicate", args[2].name),
 ))

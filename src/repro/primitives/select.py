@@ -19,11 +19,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.fused import FuseStage
 from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import Predicate
-from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
+from repro.primitives.common import (
+    PrimitiveResult,
+    empty_result,
+    primitive_span,
+    resolve_stream,
+)
 from repro.primitives.opspec import OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
@@ -32,14 +37,25 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_remove_if", "ds_copy_if"]
 
 
-def _run_remove_if(
+def ds_remove_if(
     values: np.ndarray,
     predicate: Predicate,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Remove, in place, the elements satisfying ``predicate``.
+
+    ``output`` holds the surviving elements in their original relative
+    order (stability), like ``thrust::remove_if`` but without the extra
+    passes.  ``extras["n_removed"]`` reports how many were dropped.
+    Tuning goes through ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values)
+    if values.size == 0:
+        return empty_result(values, stream, n_kept=0, n_removed=0,
+                            in_place=True)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(values.reshape(-1), "select_in")
     with primitive_span(
@@ -74,43 +90,21 @@ def _run_remove_if(
     )
 
 
-def ds_remove_if(
+def ds_copy_if(
     values: np.ndarray,
     predicate: Predicate,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
     config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
 ) -> PrimitiveResult:
-    """Remove, in place, the elements satisfying ``predicate``.
-
-    ``output`` holds the surviving elements in their original relative
-    order (stability), like ``thrust::remove_if`` but without the extra
-    passes.  ``extras["n_removed"]`` reports how many were dropped.
-    Tuning goes through ``config=``; the per-kwarg spellings are
-    deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_remove_if", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_remove_if(values, predicate, stream, config=config)
-
-
-def _run_copy_if(
-    values: np.ndarray,
-    predicate: Predicate,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: DSConfig = DSConfig(),
-) -> PrimitiveResult:
+    """Copy the elements satisfying ``predicate`` to a fresh array
+    (out of place, stable) — DS Copy_if in Figure 12.  Tuning goes
+    through ``config=`` (:class:`repro.config.DSConfig`)."""
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values)
+    if values.size == 0:
+        return empty_result(values, stream, n_kept=0, n_removed=0,
+                            in_place=False)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(values.reshape(-1), "select_in")
     out = Buffer(np.zeros(values.size, dtype=values.dtype), "select_out")
@@ -146,35 +140,11 @@ def _run_copy_if(
     )
 
 
-def ds_copy_if(
-    values: np.ndarray,
-    predicate: Predicate,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Copy the elements satisfying ``predicate`` to a fresh array
-    (out of place, stable) — DS Copy_if in Figure 12.  Tuning goes
-    through ``config=``; the per-kwarg spellings are deprecated
-    aliases."""
-    config = resolve_config(
-        "ds_copy_if", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        backend=backend, seed=seed)
-    return _run_copy_if(values, predicate, stream, config=config)
-
-
 register_op(OpDescriptor(
     name="ds_remove_if",
     short="remove_if",
     kind="irregular",
-    runner=_run_remove_if,
+    runner=ds_remove_if,
     params_signature=lambda args, kwargs: ("predicate", args[1].name),
     fuse_stage=lambda args, kwargs: FuseStage("pred", ~args[1]),
 ))
@@ -183,7 +153,7 @@ register_op(OpDescriptor(
     name="ds_copy_if",
     short="copy_if",
     kind="irregular",
-    runner=_run_copy_if,
+    runner=ds_copy_if,
     params_signature=lambda args, kwargs: ("predicate", args[1].name),
     # Out of place: its result buffer is fresh, so it never chains an
     # in-place fused group.

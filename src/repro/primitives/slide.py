@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.offsets import erase_range_remap, insert_gap_remap
 from repro.core.regular import run_regular_ds
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
@@ -32,15 +32,23 @@ __all__ = ["ds_insert_gap", "ds_erase_range"]
 StreamLike = Optional[Union[Stream, DeviceSpec, str]]
 
 
-def _run_insert_gap(
+def ds_insert_gap(
     values: np.ndarray,
     position: int,
     gap: int,
     stream: StreamLike = None,
     *,
     fill=None,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Insert a ``gap``-element hole at ``position``, in place.
+
+    ``output`` has ``values.size + gap`` elements; the hole holds
+    ``fill`` if given, otherwise unspecified (stale) data, matching the
+    pure-movement semantics of the paper's padding.  Tuning goes through
+    ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values).reshape(-1)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(np.zeros(values.size + gap, dtype=values.dtype), "slide")
@@ -67,42 +75,18 @@ def _run_insert_gap(
     )
 
 
-def ds_insert_gap(
-    values: np.ndarray,
-    position: int,
-    gap: int,
-    stream: StreamLike = None,
-    *,
-    fill=None,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Insert a ``gap``-element hole at ``position``, in place.
-
-    ``output`` has ``values.size + gap`` elements; the hole holds
-    ``fill`` if given, otherwise unspecified (stale) data, matching the
-    pure-movement semantics of the paper's padding.  Tuning goes through
-    ``config=``; the per-kwarg spellings are deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_insert_gap", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_insert_gap(values, position, gap, stream, fill=fill,
-                           config=config)
-
-
-def _run_erase_range(
+def ds_erase_range(
     values: np.ndarray,
     position: int,
     count: int,
     stream: StreamLike = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Erase ``count`` elements at ``position``, sliding the tail left
+    in place.  ``output`` has ``values.size - count`` elements.  Tuning
+    goes through ``config=`` (:class:`repro.config.DSConfig`)."""
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values).reshape(-1)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(values, "slide")
@@ -126,34 +110,11 @@ def _run_erase_range(
     )
 
 
-def ds_erase_range(
-    values: np.ndarray,
-    position: int,
-    count: int,
-    stream: StreamLike = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Erase ``count`` elements at ``position``, sliding the tail left
-    in place.  ``output`` has ``values.size - count`` elements.  Tuning
-    goes through ``config=``; the per-kwarg spellings are deprecated
-    aliases."""
-    config = resolve_config(
-        "ds_erase_range", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_erase_range(values, position, count, stream, config=config)
-
-
 register_op(OpDescriptor(
     name="ds_insert_gap",
     short="insert_gap",
     kind="regular",
-    runner=_run_insert_gap,
+    runner=ds_insert_gap,
     params_signature=lambda args, kwargs: (
         "position", int(args[1]), "gap", int(args[2]),
         "fill", repr(kwargs.get("fill"))),
@@ -163,7 +124,7 @@ register_op(OpDescriptor(
     name="ds_erase_range",
     short="erase_range",
     kind="regular",
-    runner=_run_erase_range,
+    runner=ds_erase_range,
     params_signature=lambda args, kwargs: (
         "position", int(args[1]), "count", int(args[2])),
 ))

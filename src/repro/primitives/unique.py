@@ -20,10 +20,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.fused import FuseStage
 from repro.core.irregular import run_irregular_ds
-from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
+from repro.primitives.common import (
+    PrimitiveResult,
+    empty_result,
+    primitive_span,
+    resolve_stream,
+)
 from repro.primitives.opspec import OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
@@ -32,13 +37,23 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_unique"]
 
 
-def _run_unique(
+def ds_unique(
     values: np.ndarray,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Collapse runs of equal consecutive elements in place (stable).
+
+    ``output`` holds one representative per run, in order;
+    ``extras["n_kept"]`` is the number of runs.  Tuning goes through
+    ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     values = np.asarray(values)
+    if values.size == 0:
+        return empty_result(values, stream, n_kept=0, n_removed=0,
+                            in_place=True)
     stream = resolve_stream(stream, seed=config.seed)
     buf = Buffer(values.reshape(-1), "unique_in")
     with primitive_span(
@@ -73,35 +88,10 @@ def _run_unique(
     )
 
 
-def ds_unique(
-    values: np.ndarray,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Collapse runs of equal consecutive elements in place (stable).
-
-    ``output`` holds one representative per run, in order;
-    ``extras["n_kept"]`` is the number of runs.  Tuning goes through
-    ``config=``; the per-kwarg spellings are deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_unique", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        backend=backend, seed=seed)
-    return _run_unique(values, stream, config=config)
-
-
 register_op(OpDescriptor(
     name="ds_unique",
     short="unique",
     kind="irregular",
-    runner=_run_unique,
+    runner=ds_unique,
     fuse_stage=lambda args, kwargs: FuseStage("stencil"),
 ))

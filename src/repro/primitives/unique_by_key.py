@@ -2,8 +2,9 @@
 
 The by-key flavour of *unique* (Thrust offers ``unique_by_key``): for
 each run of equal consecutive **keys**, keep the first key *and its
-value*.  One keyed irregular DS launch compacts both arrays in place —
-a direct payoff of the paper's generic Algorithm 2.
+value*.  One Algorithm 2 launch, with the values as its payload,
+compacts both arrays in place — a direct payoff of the paper's generic
+kernel.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
-from repro.core.keyed import run_keyed_irregular_ds
+from repro.config import DEFAULT_CONFIG, DSConfig
+from repro.core.irregular import run_irregular_ds
 from repro.errors import LaunchError
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
 from repro.primitives.opspec import OpDescriptor, register_op
@@ -24,13 +25,21 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_unique_by_key"]
 
 
-def _run_unique_by_key(
+def ds_unique_by_key(
     keys: np.ndarray,
     values: np.ndarray,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Collapse runs of equal consecutive keys, in place and stably.
+
+    Returns a result whose ``output`` is the kept ``(keys, values)``
+    pair (as a tuple packed into a 2xN array for the envelope; use
+    ``extras["keys"]`` / ``extras["values"]`` for the typed arrays).
+    Tuning goes through ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     keys = np.asarray(keys).reshape(-1)
     values = np.asarray(values).reshape(-1)
     if keys.size != values.size:
@@ -43,8 +52,8 @@ def _run_unique_by_key(
         "ds_unique_by_key", backend=config.backend, n=int(keys.size),
         dtype=str(keys.dtype), wg_size=config.wg_size,
     ) as sp:
-        result = run_keyed_irregular_ds(
-            kbuf, [vbuf], None, stream,
+        result = run_irregular_ds(
+            kbuf, None, stream, payloads=[vbuf],
             wg_size=config.wg_size, coarsening=config.coarsening,
             stencil_unique=True,
             reduction_variant=config.reduction_variant,
@@ -70,38 +79,9 @@ def _run_unique_by_key(
     )
 
 
-def ds_unique_by_key(
-    keys: np.ndarray,
-    values: np.ndarray,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    reduction_variant=UNSET,
-    scan_variant=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Collapse runs of equal consecutive keys, in place and stably.
-
-    Returns a result whose ``output`` is the kept ``(keys, values)``
-    pair (as a tuple packed into a 2xN array for the envelope; use
-    ``extras["keys"]`` / ``extras["values"]`` for the typed arrays).
-    Tuning goes through ``config=``; the per-kwarg spellings are
-    deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_unique_by_key", config, wg_size=wg_size, coarsening=coarsening,
-        reduction_variant=reduction_variant, scan_variant=scan_variant,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_unique_by_key(keys, values, stream, config=config)
-
-
 register_op(OpDescriptor(
     name="ds_unique_by_key",
     short="unique_by_key",
     kind="keyed",
-    runner=_run_unique_by_key,
+    runner=ds_unique_by_key,
 ))

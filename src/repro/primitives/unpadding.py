@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.config import DSConfig, UNSET, resolve_config
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.offsets import unpad_remap
 from repro.core.regular import run_regular_ds
 from repro.errors import LaunchError
@@ -27,13 +27,20 @@ from repro.simgpu.stream import Stream
 __all__ = ["ds_unpad", "ds_unpad_buffer"]
 
 
-def _run_unpad(
+def ds_unpad(
     matrix: np.ndarray,
     pad: int,
     stream: Optional[Union[Stream, DeviceSpec, str]] = None,
     *,
-    config: DSConfig = DSConfig(),
+    config: Optional[DSConfig] = None,
 ) -> PrimitiveResult:
+    """Remove the last ``pad`` columns of a 2-D matrix using DS Unpadding.
+
+    Returns a :class:`~repro.primitives.common.PrimitiveResult` whose
+    ``output`` is the ``rows x (cols - pad)`` matrix.  Tuning goes
+    through ``config=`` (:class:`repro.config.DSConfig`).
+    """
+    config = config or DEFAULT_CONFIG
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise LaunchError(f"ds_unpad expects a 2-D matrix, got ndim={matrix.ndim}")
@@ -67,30 +74,6 @@ def _run_unpad(
     )
 
 
-def ds_unpad(
-    matrix: np.ndarray,
-    pad: int,
-    stream: Optional[Union[Stream, DeviceSpec, str]] = None,
-    *,
-    config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
-    seed=UNSET,
-) -> PrimitiveResult:
-    """Remove the last ``pad`` columns of a 2-D matrix using DS Unpadding.
-
-    Returns a :class:`~repro.primitives.common.PrimitiveResult` whose
-    ``output`` is the ``rows x (cols - pad)`` matrix.  Tuning goes
-    through ``config=``; the per-kwarg spellings are deprecated aliases.
-    """
-    config = resolve_config(
-        "ds_unpad", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend, seed=seed)
-    return _run_unpad(matrix, pad, stream, config=config)
-
-
 def ds_unpad_buffer(
     buf: Buffer,
     rows: int,
@@ -99,17 +82,11 @@ def ds_unpad_buffer(
     stream: Stream,
     *,
     config: Optional[DSConfig] = None,
-    wg_size=UNSET,
-    coarsening=UNSET,
-    race_tracking=UNSET,
-    backend=UNSET,
 ):
     """In-place DS Unpadding on an existing device buffer holding the
     ``rows x cols`` matrix.  After the call the compacted matrix
     occupies the first ``rows * (cols - pad)`` elements."""
-    config = resolve_config(
-        "ds_unpad_buffer", config, wg_size=wg_size, coarsening=coarsening,
-        race_tracking=race_tracking, backend=backend)
+    config = config or DEFAULT_CONFIG
     remap = unpad_remap(rows, cols, pad)
     return run_regular_ds(
         buf,
@@ -126,6 +103,6 @@ register_op(OpDescriptor(
     name="ds_unpad",
     short="unpad",
     kind="regular",
-    runner=_run_unpad,
+    runner=ds_unpad,
     params_signature=lambda args, kwargs: ("pad", int(args[1])),
 ))

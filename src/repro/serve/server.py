@@ -74,7 +74,7 @@ from repro.errors import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.engine import Pipeline, signature_cache_stats
+from repro.pipeline.engine import Pipeline
 from repro.pipeline.plan import PlanCache
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
 from repro.primitives.opspec import OpDescriptor, get_op
@@ -1044,7 +1044,6 @@ class Server:
         out["plan_cache.misses"] = misses
         planned = hits + misses
         out["plan_cache.hit_rate"] = hits / planned if planned else 0.0
-        out["signature_cache"] = signature_cache_stats()
         out["warm_keys"] = len(self._warm_shapes)
         # Active tuned knobs per batch key, in human-readable form:
         # "ops|n=<size>|<dtype>" -> the knob dict the key serves under.

@@ -21,10 +21,9 @@ type rather than a side channel:
 
 Anything else that ``np.asarray`` can coerce (lists, tuples, scalars)
 still works, but the implicit coercion is **deprecated** — one
-:class:`DeprecationWarning` per call site, mirroring the
-``DSConfig`` legacy-kwarg pattern — because a silently materialized
-input is exactly the raw-ndarray-only assumption this protocol
-replaces.
+:class:`DeprecationWarning` per call site — because a silently
+materialized input is exactly the raw-ndarray-only assumption this
+protocol replaces.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import less_than
-from repro.core.keyed import run_keyed_irregular_ds
+from repro.core.irregular import run_irregular_ds
 from repro.errors import LaunchError
 from repro.simgpu import Buffer, Stream
 
@@ -16,9 +16,8 @@ class TestKeyedCore:
         p1 = Buffer(np.arange(n, dtype=np.float32), "p1")
         p2 = Buffer(np.arange(n, dtype=np.float64) * 2, "p2")
         orig_keys = keys.data.copy()
-        r = run_keyed_irregular_ds(keys, [p1, p2], less_than(5),
-                                   Stream(maxwell, seed=1),
-                                   wg_size=64, coarsening=2)
+        r = run_irregular_ds(keys, less_than(5), Stream(maxwell, seed=1),
+                             payloads=[p1, p2], wg_size=64, coarsening=2)
         mask = orig_keys < 5
         assert r.n_true == int(mask.sum())
         assert np.array_equal(keys.data[: r.n_true], orig_keys[mask])
@@ -32,9 +31,9 @@ class TestKeyedCore:
                       "k")
         vals = Buffer(np.arange(keys.size, dtype=np.float32), "v")
         orig = keys.data.copy()
-        r = run_keyed_irregular_ds(keys, [vals], None, Stream(maxwell, seed=2),
-                                   wg_size=32, coarsening=2,
-                                   stencil_unique=True)
+        r = run_irregular_ds(keys, None, Stream(maxwell, seed=2),
+                             payloads=[vals], wg_size=32, coarsening=2,
+                             stencil_unique=True)
         keep = np.concatenate([[True], orig[1:] != orig[:-1]])
         assert r.n_true == int(keep.sum())
         assert np.array_equal(keys.data[: r.n_true], orig[keep])
@@ -42,21 +41,20 @@ class TestKeyedCore:
     def test_requires_predicate_or_stencil(self, maxwell):
         keys = Buffer(np.zeros(8, dtype=np.float32), "k")
         with pytest.raises(LaunchError, match="predicate"):
-            run_keyed_irregular_ds(keys, [], None, Stream(maxwell))
+            run_irregular_ds(keys, None, Stream(maxwell), payloads=[])
 
     def test_rejects_short_payload(self, maxwell):
         keys = Buffer(np.zeros(16, dtype=np.float32), "k")
         short = Buffer(np.zeros(8, dtype=np.float32), "short")
         with pytest.raises(LaunchError, match="needs"):
-            run_keyed_irregular_ds(keys, [short], less_than(1),
-                                   Stream(maxwell))
+            run_irregular_ds(keys, less_than(1), Stream(maxwell),
+                             payloads=[short])
 
     def test_extras_for_the_model(self, rng, maxwell):
         keys = Buffer(rng.integers(0, 10, 512).astype(np.float32), "k")
-        r = run_keyed_irregular_ds(keys, [], less_than(5),
-                                   Stream(maxwell, seed=3),
-                                   wg_size=64, coarsening=2,
-                                   scan_variant="ballot")
+        r = run_irregular_ds(keys, less_than(5), Stream(maxwell, seed=3),
+                             payloads=[], wg_size=64, coarsening=2,
+                             scan_variant="ballot")
         ex = r.counters.extras
         assert ex["irregular"] == 1.0
         assert ex["opt_collectives"] == 1.0
@@ -69,9 +67,8 @@ class TestKeyedCore:
         keys = Buffer(orig, "k")
         vals = Buffer(np.arange(n, dtype=np.float32), "v")
         stream = Stream(maxwell, seed=5, order=order, resident_limit=4)
-        r = run_keyed_irregular_ds(keys, [vals], less_than(5), stream,
-                                   wg_size=32, coarsening=2,
-                                   race_tracking=True)
+        r = run_irregular_ds(keys, less_than(5), stream, payloads=[vals],
+                             wg_size=32, coarsening=2, race_tracking=True)
         mask = orig < 5
         assert np.array_equal(keys.data[: r.n_true], orig[mask])
         assert np.array_equal(vals.data[: r.n_true],

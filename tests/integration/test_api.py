@@ -9,6 +9,22 @@ import repro
 from repro.config import DSConfig
 from repro.core import is_even, less_than
 from repro.errors import ReproError
+from repro.reference import (
+    compact_ref,
+    copy_if_ref,
+    partition_ref,
+    remove_if_ref,
+    unique_ref,
+)
+
+# The five filter ops, each with its extra args and reference.
+FILTERS = [
+    ("compact", (0.0,), lambda a: compact_ref(a, 0.0)),
+    ("unique", (), unique_ref),
+    ("remove_if", (is_even(),), lambda a: remove_if_ref(a, is_even())),
+    ("copy_if", (is_even(),), lambda a: copy_if_ref(a, is_even())),
+    ("partition", (is_even(),), lambda a: partition_ref(a, is_even())[0]),
+]
 
 
 class TestBackends:
@@ -34,6 +50,24 @@ class TestBackends:
                                                  config=DSConfig(wg_size=32))
         assert n_true == int(is_even()(a).sum())
         assert out.size == a.size
+
+
+class TestEmptyInput:
+    """Every front door gives the reference's empty output for an
+    empty input, with no launch, instead of a launch error."""
+
+    @pytest.mark.parametrize("backend", ["simulated", "vectorized"])
+    @pytest.mark.parametrize("op,args,ref", FILTERS,
+                             ids=[f[0] for f in FILTERS])
+    def test_ds_returns_reference_output(self, op, args, ref, backend):
+        empty = np.array([], dtype=np.float32)
+        res = repro.ds(op, empty, *args, config=DSConfig(backend=backend))
+        expected = ref(empty)
+        assert np.array_equal(res.output, expected)
+        assert res.output.dtype == expected.dtype
+        assert res.counters == []
+        count = "n_true" if op == "partition" else "n_kept"
+        assert res.extras[count] == 0
 
 
 class TestBackendEquivalence:

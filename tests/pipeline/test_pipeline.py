@@ -7,14 +7,11 @@ counters included, on both backends.  With fusion on, a compact→unique
 chain collapses to a single launch whose output still matches.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro import DSConfig, Pipeline
 from repro.core.predicates import is_even, less_than
-from repro.errors import LaunchError
 from repro.pipeline import PlanCache
 from repro.primitives import (
     ds_partition,
@@ -23,6 +20,7 @@ from repro.primitives import (
     ds_unique,
 )
 from repro.primitives.common import resolve_stream
+from repro.primitives.opspec import OpDescriptor
 from repro.reference import compact_ref, unique_ref
 
 BACKENDS = ["simulated", "vectorized"]
@@ -72,21 +70,6 @@ class TestFutures:
 
     def test_run_empty_is_noop(self):
         assert Pipeline().run() == []
-
-    def test_legacy_tuning_kwargs_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            p = Pipeline(wg_size=32)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "Pipeline" in str(dep[0].message)
-        assert p.config.wg_size == 32
-
-    def test_conflicting_legacy_kwarg_raises(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(LaunchError, match="conflict"):
-                Pipeline(config=DSConfig(wg_size=64), wg_size=32)
 
 
 class TestForeignFutures:
@@ -161,6 +144,24 @@ class TestKeywordSpelling:
         assert p.stream.num_launches == 1
         expected = compact_ref(a, 0)
         assert np.array_equal(f2.output, expected[expected % 2 != 0])
+
+    def test_user_built_descriptor_by_keyword(self, rng):
+        """A descriptor built outside the registry derives its data
+        parameters from its runner, so keyword-passed data still reaches
+        the positional slot its ``params_signature`` indexes."""
+        def scaled_compact(values, factor, stream=None, *, config=None):
+            return ds_stream_compact(np.asarray(values) * factor, 0, stream,
+                                     config=config)
+
+        desc = OpDescriptor(
+            name="scaled_compact", short="scaled_compact", kind="meta",
+            runner=scaled_compact,
+            params_signature=lambda args, kwargs: ("factor", int(args[1])))
+        assert desc.data_params == ("values", "factor")
+        a = rng.integers(0, 9, 200).astype(np.int64)
+        p = Pipeline(config=_cfg("simulated"))
+        f = p.enqueue(desc, a.copy(), factor=3)
+        assert np.array_equal(f.output, compact_ref(a * 3, 0))
 
 
 class TestSequentialParity:
@@ -313,13 +314,38 @@ class TestFusedExecution:
         assert p.stream.num_launches == 2
 
     def test_empty_input_matches_sequential_error(self):
-        """The fused path refuses empty inputs the same way a direct
-        ds_* call does — by raising, not by silently skipping."""
-        p = Pipeline(config=_cfg("simulated"), fuse=True)
-        f1 = p.compact(np.array([], dtype=np.int64), 0)
-        p.unique(f1)
-        with pytest.raises(LaunchError, match="positive"):
+        """An empty input gives the reference's empty output on every
+        path — fused, unfused and the sequential calls — with no launch
+        (no path raises)."""
+        empty = np.array([], dtype=np.int64)
+        expected = unique_ref(compact_ref(empty, 0))
+        for backend in BACKENDS:
+            for fuse in (True, False):
+                p = Pipeline(config=_cfg(backend), fuse=fuse)
+                f2 = p.unique(p.compact(empty.copy(), 0))
+                p.run()
+                assert np.array_equal(f2.output, expected)
+                assert f2.output.dtype == expected.dtype
+                assert f2.result().counters == []
+            cfg = _cfg(backend)
+            seq = ds_unique(ds_stream_compact(empty.copy(), 0,
+                                              config=cfg).output, config=cfg)
+            assert np.array_equal(seq.output, expected)
+            assert seq.counters == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_removed_chain_unfused(self, backend):
+        """compact removes every element, so unique sees an empty
+        input: the unfused batch returns the reference's empty output
+        like the fused one, instead of raising."""
+        zeros = np.zeros(300, dtype=np.int64)
+        expected = unique_ref(compact_ref(zeros, 0))
+        for fuse in (True, False):
+            p = Pipeline(config=_cfg(backend), fuse=fuse)
+            f2 = p.unique(p.compact(zeros.copy(), 0))
             p.run()
+            assert np.array_equal(f2.output, expected)
+            assert f2.result().extras["n_kept"] == 0
 
 
 # Fusable chains as (op, extra args) steps; the first consumes the input,
@@ -474,45 +500,3 @@ class TestPlanWithoutRun:
     def test_plan_on_empty_pipeline_is_none(self):
         p = Pipeline(config=_cfg("simulated"), plan_cache=PlanCache())
         assert p.plan() is None
-
-
-class TestSignatureCache:
-    def test_runner_signature_cache_is_bounded(self):
-        from repro.pipeline import engine
-
-        def probe(values, stream, *, config):  # mimics a runner
-            return values
-
-        baseline = dict(engine._signature_cache)
-        try:
-            fillers = []
-            for i in range(engine._SIGNATURE_CACHE_MAX + 16):
-                def filler(values, stream, *, config, _i=i):
-                    return values
-                fillers.append(filler)
-                engine._data_param_names(filler)
-            assert len(engine._signature_cache) <= \
-                engine._SIGNATURE_CACHE_MAX
-            # Lookups still work at the bound, hot entries stay cached.
-            assert engine._data_param_names(probe) == ("values",)
-            assert engine._data_param_names(probe) == ("values",)
-            assert probe in engine._signature_cache
-        finally:
-            with engine._signature_lock:
-                engine._signature_cache.clear()
-                engine._signature_cache.update(baseline)
-
-    def test_signature_cache_metrics_under_tracing(self, rng):
-        from repro import obs
-
-        a = rng.integers(0, 5, 200).astype(np.int64)
-        with obs.tracing("spans") as tracer:
-            p = Pipeline(config=_cfg("simulated"), plan_cache=PlanCache())
-            p.compact(a.copy(), 0)
-            p.run()
-            p.compact(a.copy(), 0)
-            p.run()
-        counters = {c.name: c.value for c in tracer.metrics
-                    if c.name.startswith("pipeline.signature_cache")}
-        # The second enqueue of the same runner must be a cache hit.
-        assert counters.get("pipeline.signature_cache.hits", 0) >= 1

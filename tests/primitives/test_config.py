@@ -1,13 +1,16 @@
 """The unified DSConfig surface: every primitive accepts ``config=``,
-the legacy tuning kwargs warn (once) and produce identical results, and
-explicit config + conflicting legacy values is an error."""
+the only tuning spelling; a per-kwarg tuning spelling is a TypeError,
+and every registered op runs through its public ``ds_*`` function."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_CONFIG, DSConfig, resolve_config
+import repro.primitives
+from repro import Pipeline
+from repro.api import compact
+from repro.config import DEFAULT_CONFIG, DSConfig
 from repro.core.predicates import is_even, less_than
 from repro.errors import LaunchError
 from repro.primitives import (
@@ -25,6 +28,7 @@ from repro.primitives import (
     ds_unique,
     ds_unique_by_key,
     ds_unpad,
+    list_ops,
 )
 
 RNG = np.random.default_rng(7)
@@ -32,9 +36,9 @@ _M = RNG.integers(0, 50, (7, 19)).astype(np.float32)
 _A = RNG.integers(0, 5, 700).astype(np.int64)
 _KEYS = np.sort(RNG.integers(0, 40, 500)).astype(np.int32)
 
-# Every ds_* primitive with a representative invocation and the legacy
-# kwargs its old signature accepted (all of which must now route
-# through DSConfig).
+# Every ds_* primitive with a representative invocation and the tuning
+# kwargs its old signature accepted as deprecated aliases (all of which
+# now go through DSConfig only).
 PRIMITIVES = [
     ("ds_pad", ds_pad, (_M, 3), {"fill": 0.0},
      {"wg_size": 32, "coarsening": 2, "race_tracking": True, "seed": 3}),
@@ -75,13 +79,6 @@ PRIMITIVES = [
 IDS = [p[0] for p in PRIMITIVES]
 
 
-def _assert_same_result(ra, rb):
-    assert np.array_equal(np.asarray(ra.output), np.asarray(rb.output))
-    assert len(ra.counters) == len(rb.counters)
-    for ca, cb in zip(ra.counters, rb.counters):
-        assert ca == cb  # full counter equality, spins and steps included
-
-
 class TestEveryPrimitive:
     @pytest.mark.parametrize("name,fn,args,kwargs,legacy", PRIMITIVES, ids=IDS)
     def test_accepts_config(self, name, fn, args, kwargs, legacy):
@@ -92,38 +89,21 @@ class TestEveryPrimitive:
         assert r.output is not None
 
     @pytest.mark.parametrize("name,fn,args,kwargs,legacy", PRIMITIVES, ids=IDS)
-    def test_legacy_kwargs_warn_once_and_match(self, name, fn, args, kwargs,
-                                               legacy):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            r_legacy = fn(*args, **legacy, **kwargs)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1, f"{name}: expected exactly one warning"
-        message = str(dep[0].message)
-        assert name in message and "config=DSConfig" in message
-        for kw in legacy:
-            assert kw in message
+    def test_tuning_kwargs_are_a_type_error(self, name, fn, args, kwargs,
+                                            legacy):
+        with pytest.raises(TypeError):
+            fn(*args, **legacy, **kwargs)
 
-        r_config = fn(*args, config=DSConfig(**legacy), **kwargs)
-        _assert_same_result(r_legacy, r_config)
+    def test_registered_runner_is_the_public_function(self):
+        for desc in list_ops():
+            assert desc.runner is getattr(repro.primitives, desc.name)
 
-    @pytest.mark.parametrize("name,fn,args,kwargs,legacy", PRIMITIVES, ids=IDS)
-    def test_conflicting_legacy_value_raises(self, name, fn, args, kwargs,
-                                             legacy):
-        cfg = DSConfig(**legacy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(LaunchError, match="conflict"):
-                fn(*args, config=cfg, wg_size=cfg.wg_size * 2, **kwargs)
-
-    @pytest.mark.parametrize("name,fn,args,kwargs,legacy", PRIMITIVES, ids=IDS)
-    def test_agreeing_legacy_value_passes(self, name, fn, args, kwargs,
-                                          legacy):
-        cfg = DSConfig(**legacy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            r = fn(*args, config=cfg, wg_size=cfg.wg_size, **kwargs)
-        assert r.output is not None
+    def test_pipeline_and_api_reject_tuning_kwargs(self):
+        with pytest.raises(TypeError):
+            Pipeline(wg_size=32)
+        with pytest.raises(TypeError):
+            compact(np.asarray([1.0, 0.0], dtype=np.float32), 0.0,
+                    wg_size=32)
 
 
 class TestDSConfig:
@@ -230,14 +210,3 @@ class TestDSConfig:
     def test_from_env_blank_values_ignored(self):
         env = {"REPRO_WG_SIZE": "  ", "REPRO_BACKEND": ""}
         assert DSConfig.from_env(env) == DSConfig()
-
-    def test_resolve_config_rejects_unknown_kwarg(self):
-        with pytest.raises(LaunchError):
-            resolve_config("ds_x", None, warp_size=32)
-
-    def test_resolve_config_no_legacy_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_config("ds_x", None) is DEFAULT_CONFIG
-            cfg = DSConfig(wg_size=32)
-            assert resolve_config("ds_x", cfg) is cfg

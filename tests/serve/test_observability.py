@@ -181,8 +181,6 @@ class TestStats:
         assert lat["p50"] <= lat["p95"] <= lat["p99"]
         assert stats["inflight"] == 0 and stats["queue_depth"] == 0
         assert 0.0 <= stats["plan_cache.hit_rate"] <= 1.0
-        assert set(stats["signature_cache"]) == {"hits", "misses",
-                                                 "size", "hit_rate"}
         assert stats["flight"]["capacity"] == 4096
         assert stats["flight"]["n_events"] > 0
 

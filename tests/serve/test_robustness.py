@@ -19,6 +19,7 @@ from repro.errors import (
     RequestCancelled,
 )
 from repro.reference import (
+    compact_ref,
     copy_if_ref,
     erase_range_ref,
     insert_gap_ref,
@@ -94,6 +95,28 @@ class TestCancellation:
         srv.submit("compact", data, 0.0)  # slot is free again
         srv.start()
         srv.close()
+
+
+class TestEmptyInput:
+    def test_empty_chain_request_is_served_not_failed(self, data):
+        """An empty input is a normal request: it must not fail the
+        fast path, retry, or open its chain's breaker, so the next
+        request of that chain still runs on the fast path."""
+        chain = [("compact", 0.0), "unique"]
+        with Server(_cfg()) as srv:
+            empty = srv.submit_chain(
+                chain, np.empty(0, dtype=np.float64)).result(timeout=30)
+            after = srv.submit_chain(chain, data).result(timeout=30)
+        assert empty.output.size == 0
+        assert empty.normalized_extras["degraded"] is False
+        assert srv.metrics.get("serve.fast_failures") is None
+        assert srv.metrics.get("serve.retries") is None
+        assert srv.breaker.state(("ds_stream_compact", "ds_unique")) \
+            == "closed"
+        assert after.normalized_extras["degraded"] is False
+        assert after.counters
+        assert np.array_equal(after.output,
+                              unique_ref(compact_ref(data, 0.0)))
 
 
 class TestRetries:
