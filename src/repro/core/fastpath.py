@@ -34,6 +34,14 @@ polls and maximal admission.  Everything else — bytes, transactions,
 event, atomic and barrier counts — is schedule-invariant and matches
 the simulated backend exactly (asserted by
 ``tests/primitives/test_backend_parity.py``).
+
+The launch counters are the only record of a launch's traffic: the
+buffers keep no ledger of their own.  A traced launch records only what
+it ran — its launch span on the host track with two host-phase children,
+``movement`` (the gathers and stores) and ``accounting`` (counters and
+side structures) — whatever the grid size.  There are no work-groups
+here to time, so no ``wg:`` tracks: per-work-group phases and
+``sync_wait`` spans come from the event-level simulator alone.
 """
 
 from __future__ import annotations
@@ -65,76 +73,21 @@ __all__ = [
 ]
 
 
-def _trace_begin(kernel_name: str, grid: int, wg_size: int, stream: Stream,
-                 backend: str = "vectorized"):
+def _trace_begin(kernel_name: str, grid: int, wg_size: int, stream: Stream):
     """Open the launch span for a fast-path launch (or ``(None, None)``
     when tracing is off — the entire per-launch tracing cost)."""
     tracer = _obs.active()
     if tracer is None:
         return None, None
-    span_args = {"backend": backend, "grid_size": grid,
+    span_args = {"backend": "vectorized", "grid_size": grid,
                  "wg_size": wg_size, "device": stream.device.name}
     # Correlation attributes (request_id, batch_id) from obs.annotate —
-    # launch spans carry them, phase spans never do (span parity).
+    # launch spans carry them, phase spans never do.
     annotations = _obs.current_annotations()
     if annotations:
         span_args.update(annotations)
     sp = tracer.span(kernel_name, cat="launch", args=span_args)
     return tracer, sp
-
-
-def _emit_wg_phases(
-    tracer,
-    *,
-    grid: int,
-    tile: int,
-    wg_size: int,
-    coarsening: int,
-    total: int,
-    t0: float,
-    t1: float,
-    irregular: bool,
-) -> None:
-    """Emit the synthetic per-work-group phase spans of one launch.
-
-    The vectorized backend executes whole-array operations, so the real
-    timeline has only two measured intervals: the data movement
-    ``[t0, t1]`` and the side-structure finalization ``[t1, now]``.
-    Each work-group's track mirrors those intervals with the *same span
-    names and nesting* the simulated kernels emit — load / (reduce) /
-    sync / store, with one zero-width ``scan`` child per non-empty
-    store round — so span-tree comparisons across backends are
-    meaningful, exactly like counter parity.  Work-group ``g`` is
-    assigned tile ``g``; the simulated schedule permutes that
-    assignment across tracks, so comparisons treat tracks as a
-    multiset.
-    """
-    t_end = tracer.now_us()
-    tm = (t0 + t1) / 2.0
-    for g in range(grid):
-        track = _obs.wg_track(g)
-        tracer.add_span("load", track=track, start_us=t0, end_us=tm,
-                        cat="phase", args={"rounds": coarsening})
-        if irregular:
-            tracer.add_span("reduce", track=track, start_us=tm, end_us=tm,
-                            cat="phase")
-        tracer.add_span("sync", track=track, start_us=t1, end_us=t_end,
-                        cat="phase")
-        store = tracer.add_span("store", track=track, start_us=tm, end_us=t1,
-                                cat="phase")
-        if irregular:
-            remaining = total - g * tile
-            rounds = max(0, min(coarsening, -(-remaining // wg_size)))
-            for _ in range(rounds):
-                tracer.add_span("scan", track=track, start_us=tm, end_us=tm,
-                                cat="phase", parent=store)
-
-
-def _trace_finish(tracer, launch_span, c: LaunchCounters) -> None:
-    if tracer is not None:
-        launch_span.set(
-            steps=c.steps, n_spins=c.n_spins, peak_resident=c.peak_resident,
-        ).finish()
 
 
 def _base_counters(
@@ -151,11 +104,26 @@ def _base_counters(
     return c
 
 
-def _finish(c: LaunchCounters) -> LaunchCounters:
+def _record_launch(
+    stream: Stream, c: LaunchCounters, tracer, launch_span, t0: float, t1: float
+) -> LaunchCounters:
+    """Finish ``c`` and record it on ``stream``.  When tracing, close the
+    launch span with the two host phases the launch ran: ``movement``
+    (the gathers and stores, ``[t0, t1]``) and ``accounting`` (counters
+    and side structures, ``[t1, now]``)."""
     # One scheduler step per event plus the StopIteration step that
     # retires each work-group; the vectorized schedule has no spins.
     c.steps = c.n_loads + c.n_stores + c.n_atomics + c.n_barriers + c.grid_size
     c.extras["vectorized"] = 1.0
+    stream.record(c)
+    if tracer is not None:
+        t2 = tracer.now_us()
+        for name, start, end in (("movement", t0, t1), ("accounting", t1, t2)):
+            tracer.add_span(name, track=_obs.HOST_TRACK, start_us=start,
+                            end_us=end, cat="phase", parent=launch_span)
+        launch_span.set(
+            steps=c.steps, n_spins=c.n_spins, peak_resident=c.peak_resident,
+        ).finish()
     return c
 
 
@@ -164,12 +132,7 @@ def _finalize_sync_structures(
 ) -> None:
     """Leave the flag chain and ID cursor as the kernel would."""
     flags.data[1 : grid + 1] = flag_values
-    # Minimum atomic traffic of the sync protocol: one successful poll
-    # and one flag set per group.  (The simulated count additionally
-    # includes schedule-dependent failed polls.)
-    flags.stats.atomic_ops += 2 * grid
     wg_counter.data[0] = grid
-    wg_counter.stats.atomic_ops += grid
 
 
 def vectorized_regular_launch(
@@ -205,20 +168,10 @@ def vectorized_regular_launch(
     c.n_atomics = 3 * grid  # ID claim + successful poll + flag set
     c.n_barriers = 3 * grid  # ID broadcast + sync local + sync global
 
-    array.stats.loads_elems += total
-    array.stats.load_transactions += c.load_transactions
-    array.stats.stores_elems += int(kept_pos.size)
-    array.stats.store_transactions += c.store_transactions
     _finalize_sync_structures(
         flags, wg_counter, grid, np.full(grid, FLAG_SET, dtype=flags.data.dtype)
     )
-    rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=total, t0=t0, t1=t1,
-                        irregular=False)
-        _trace_finish(tracer, launch_span, c)
-    return rec
+    return _record_launch(stream, c, tracer, launch_span, t0, t1)
 
 
 def _evaluate_keep(
@@ -237,32 +190,25 @@ def _contiguous_store_accounting(
     c: LaunchCounters, buf: Buffer, kt: np.ndarray, bases: np.ndarray, n_elems: int
 ) -> None:
     """Charge per-round stores of contiguous ranges ``[bases, bases+kt)``
-    to ``c`` and to ``buf``'s access statistics."""
+    of ``buf`` to ``c``."""
     c.bytes_stored += n_elems * buf.itemsize
-    txns = 0
     if buf.count_transactions:
-        txns = contiguous_range_txns(
+        c.store_transactions += contiguous_range_txns(
             bases, bases + kt, buf.itemsize, buf.transaction_bytes
         )
-    c.store_transactions += txns
-    buf.stats.stores_elems += n_elems
-    buf.stats.store_transactions += txns
 
 
 def _tile_load_accounting(
     c: LaunchCounters, buf: Buffer, total: int, W: int, stencil_loads: int = 0
 ) -> None:
-    """Charge the coarsened tile loads over ``total`` elements (plus any
-    single-element stencil neighbour loads) to ``c`` and ``buf``."""
-    bytes_ = (total + stencil_loads) * buf.itemsize
-    c.bytes_loaded += bytes_
-    txns = 0
+    """Charge the coarsened tile loads of ``buf`` over ``total`` elements
+    (plus any single-element stencil neighbour loads) to ``c``."""
+    c.bytes_loaded += (total + stencil_loads) * buf.itemsize
     if buf.count_transactions:
-        txns = contiguous_round_txns(total, W, buf.itemsize, buf.transaction_bytes)
-        txns += stencil_loads  # one-element loads: one transaction each
-    c.load_transactions += txns
-    buf.stats.loads_elems += total + stencil_loads
-    buf.stats.load_transactions += txns
+        # One-element stencil loads cost one transaction each.
+        c.load_transactions += stencil_loads + contiguous_round_txns(
+            total, W, buf.itemsize, buf.transaction_bytes
+        )
 
 
 def vectorized_irregular_launch(
@@ -335,12 +281,7 @@ def vectorized_irregular_launch(
         grid,
         np.cumsum(workgroup_kept_counts(kt, cf)) + 1,  # encode_count, vector-wide
     )
-    rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
-    return rec
+    return _record_launch(stream, c, tracer, launch_span, t0, t1)
 
 
 def vectorized_copy_launch(
@@ -360,7 +301,9 @@ def vectorized_copy_launch(
     tile = wg_size * coarsening
     grid = (n + tile - 1) // tile
     tracer, launch_span = _trace_begin(kernel_name, grid, wg_size, stream)
+    t0 = tracer.now_us() if tracer is not None else 0.0
     dst.data[dst_base : dst_base + n] = src.data[src_base : src_base + n]
+    t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, wg_size, stream)
     n_act = (n + wg_size - 1) // wg_size
@@ -375,10 +318,4 @@ def vectorized_copy_launch(
         c.store_transactions = contiguous_round_txns(
             n, wg_size, dst.itemsize, dst.transaction_bytes, base=dst_base
         )
-    src.stats.loads_elems += n
-    src.stats.load_transactions += c.load_transactions
-    dst.stats.stores_elems += n
-    dst.stats.store_transactions += c.store_transactions
-    rec = stream.record(_finish(c))
-    _trace_finish(tracer, launch_span, c)
-    return rec
+    return _record_launch(stream, c, tracer, launch_span, t0, t1)

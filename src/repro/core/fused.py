@@ -61,12 +61,10 @@ from repro.core.coarsening import LaunchGeometry, launch_geometry
 from repro.core.dynamic_id import dynamic_wg_id
 from repro.core.fastpath import (
     _base_counters,
-    _emit_wg_phases,
     _evaluate_keep,
     _finalize_sync_structures,
-    _finish,
+    _record_launch,
     _trace_begin,
-    _trace_finish,
 )
 from repro.core.flags import decode_count, encode_count, make_flags, make_wg_counter
 from repro.core.predicates import Predicate
@@ -374,7 +372,6 @@ def _vectorized_fused_launch(
     pipeline resolves their futures with.
     """
     grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
-    tile = geometry.tile_size
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
@@ -418,17 +415,6 @@ def _vectorized_fused_launch(
     c.n_atomics = 3 * grid
     c.n_barriers = 3 * grid
 
-    array.stats.loads_elems += n
-    array.stats.stores_elems += n_true
-    array.stats.load_transactions += acct["array_load_txns"]
-    array.stats.store_transactions += acct["array_store_txns"]
-    for buf in (carry, carry_valid):
-        buf.stats.loads_elems += grid
-        buf.stats.stores_elems += grid
-        if buf.count_transactions:
-            buf.stats.load_transactions += grid
-            buf.stats.store_transactions += grid
-
     # Leave the side structures as the kernel would: the flag chain
     # carries cumulative kept counts, the carry chain each group's last
     # pre-stencil survivor so far (a tile without one passes its
@@ -440,11 +426,7 @@ def _vectorized_fused_launch(
         carry.data[slots + 1] = carry_vals
         carry_valid.data[slots + 1] = 1
 
-    rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=tile, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
+    rec = _record_launch(stream, c, tracer, launch_span, t0, t1)
     return rec, survivors.values
 
 

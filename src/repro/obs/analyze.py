@@ -4,7 +4,8 @@ Consumes what the exporters and the flight recorder produce — a
 Chrome-trace JSON file, a flat JSONL log, or an incident bundle
 directory — and reconstructs the structure the paper's argument rests
 on: *where the time inside one launch went*.  For every kernel launch
-it decomposes each work-group's share of the launch wall into
+of the event-level simulator it decomposes each work-group's share of
+the launch wall into
 
 ``load | reduce | spin (sync_wait) | sync-overhead | store | idle``
 
@@ -13,8 +14,15 @@ any phase: dispatch skew, scheduler interleaving), so the decomposition
 sums to the launch wall by construction — the ±1% acceptance check in
 ``make analyze-smoke`` guards the bookkeeping, not the arithmetic.  It
 also attributes spin time along the Figure 7 adjacent-synchronization
-chain ("wg 37 spent 61% of the launch in sync_wait on wg 36") and, for
-serve traces, breaks each request's lifecycle into
+chain ("wg 37 spent 61% of the launch in sync_wait on wg 36").
+
+A vectorized launch has no work-groups to time.  It records two host
+phases under its launch span — ``movement`` (the whole-array gathers
+and stores) and ``accounting`` (counters and side structures) — and the
+analyzer reports those, plus ``other`` for the rest of the launch wall
+(span bookkeeping); ``--check`` flags host phases that exceed the wall.
+
+For serve traces it breaks each request's lifecycle into
 queue-wait → batch-window → plan → execute → finalize stages.
 
 Entry points: :func:`load_trace` + :func:`analyze` for programmatic
@@ -38,6 +46,9 @@ __all__ = ["load_trace", "analyze", "analyze_tracer", "check_report",
 # `store`/`reduce` and `sync_wait` nests inside `sync`; both are
 # reported but excluded from the top-level sum to avoid double counting.
 PHASES = ("load", "reduce", "sync", "store")
+
+# Host phases a vectorized launch records under its launch span.
+HOST_PHASES = ("movement", "accounting")
 
 _EPS_US = 0.01  # endpoint rounding slack (exporters round to 3 decimals)
 
@@ -210,6 +221,15 @@ def _analyze_launch(proc: _Process, launch: _Span) -> dict:
             "spin_share": (spin_us / wall) if wall > 0 else 0.0,
             "waits_on": waits_on,
         })
+    host_phases = None
+    if not workgroups:
+        host_phases = {ph: 0.0 for ph in HOST_PHASES}
+        for sp in proc.thread_spans(launch.tid):
+            if (sp.cat == "phase" and sp.name in host_phases
+                    and _contained(sp, launch.ts, launch.end)):
+                host_phases[sp.name] += sp.dur
+        host_phases["other"] = max(
+            0.0, launch.dur - sum(host_phases.values()))
     totals = {key: sum(w[f"{key}_us"] for w in workgroups)
               for key in ("load", "reduce", "spin", "sync_other",
                           "store", "idle")}
@@ -224,6 +244,7 @@ def _analyze_launch(proc: _Process, launch: _Span) -> dict:
         "args": launch.args,
         "n_workgroups": len(workgroups),
         "workgroups": workgroups,
+        "host_phases": host_phases,
         "totals": totals,
         "shares": {k: v / grand for k, v in totals.items()},
         "top_spinner": (None if top is None or top["spin_us"] <= 0.0 else {
@@ -553,10 +574,11 @@ def check_report(report: dict, *, tolerance: float = 0.01,
                  fleet_tolerance: float = 0.02) -> List[str]:
     """The ``make analyze-smoke`` assertions: every work-group's
     decomposition must sum to the launch wall within ``tolerance``,
-    spin time can never exceed the wall, and every complete fleet
-    request's cross-process critical path (router queue → transport →
-    worker → response) must sum to the request wall within
-    ``fleet_tolerance``.  Returns the violations."""
+    spin time can never exceed the wall, a launch's host phases can
+    never exceed its wall either, and every complete fleet request's
+    cross-process critical path (router queue → transport → worker →
+    response) must sum to the request wall within ``fleet_tolerance``.
+    Returns the violations."""
     problems = []
     for req in report.get("fleet_requests") or []:
         if not req.get("complete"):
@@ -569,6 +591,14 @@ def check_report(report: dict, *, tolerance: float = 0.01,
                 f"(tolerance {fleet_tolerance:.0%})")
     for proc in report["processes"]:
         for launch in proc["launches"]:
+            host = launch["host_phases"]
+            if host is not None:
+                spent = sum(host[ph] for ph in HOST_PHASES)
+                if spent > launch["wall_us"] + _EPS_US:
+                    problems.append(
+                        f"{proc['name']}/{launch['name']}: host phases "
+                        f"{spent:.1f}us exceed launch wall "
+                        f"{launch['wall_us']:.1f}us")
             for wg in launch["workgroups"]:
                 if abs(wg["sum_ratio"] - 1.0) > tolerance:
                     problems.append(
@@ -679,11 +709,18 @@ def render_text(report: dict) -> str:
     for proc in report["processes"]:
         out.append(f"\nprocess {proc['name']} ({proc['n_spans']} spans)")
         for launch in proc["launches"]:
-            out.append(
-                f"  launch {launch['name']} "
-                f"[{launch.get('backend') or '?'}]: "
-                f"wall {launch['wall_us']:.1f} us, "
-                f"{launch['n_workgroups']} work-groups")
+            head = (f"  launch {launch['name']} "
+                    f"[{launch.get('backend') or '?'}]: "
+                    f"wall {launch['wall_us']:.1f} us")
+            host = launch["host_phases"]
+            if host is not None:
+                wall = launch["wall_us"]
+                out.append(head)
+                out.append("    host: " + " | ".join(
+                    f"{ph} {_pct(dur / wall if wall > 0 else 0.0)}"
+                    for ph, dur in host.items()))
+                continue
+            out.append(f"{head}, {launch['n_workgroups']} work-groups")
             shares = launch["shares"]
             out.append(
                 "    aggregate: load " + _pct(shares["load"])
@@ -759,8 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro analyze",
         description="Analyze a Chrome trace, JSONL log, or incident "
                     "bundle: per-work-group critical-path decomposition, "
-                    "spin attribution along the Figure 7 sync chain, and "
-                    "serve request lifecycle breakdowns.",
+                    "spin attribution along the Figure 7 sync chain, the "
+                    "host phases of vectorized launches, and serve "
+                    "request lifecycle breakdowns.",
     )
     parser.add_argument("path",
                         help="trace.json, trace.jsonl, or an incident "
@@ -771,8 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to a file instead of stdout")
     parser.add_argument("--check", action="store_true",
                         help="assert decomposition invariants (per-wg sum "
-                             "within 1%% of launch wall, spin <= wall); "
-                             "non-zero exit on violation")
+                             "within 1%% of launch wall, spin <= wall, "
+                             "host phases <= wall); non-zero exit on "
+                             "violation")
     return parser
 
 

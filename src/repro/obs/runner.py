@@ -3,12 +3,15 @@
 Maps experiment ids to small representative runs of the figure's
 primary DS primitive, executes each under a fresh
 :class:`~repro.obs.tracer.Tracer` per backend, and exports the
-combined Chrome-trace document — one *process* per backend, one
-*thread* per work-group — plus the aggregate metrics.  Load the file in
-``chrome://tracing`` or https://ui.perfetto.dev to see the schedule:
-phase spans along every work-group track, ``sync_wait`` gaps on the
-Figure 7 synchronization chain, and the single-launch structure the
-paper's algorithms are about.
+combined Chrome-trace document — one *process* per backend — plus the
+aggregate metrics.  Load the file in ``chrome://tracing`` or
+https://ui.perfetto.dev to see the schedule: the simulated backend has
+one *thread* per work-group, with phase spans along every work-group
+track and ``sync_wait`` gaps on the Figure 7 synchronization chain; the
+vectorized backend has no work-groups to time, and each of its launch
+spans holds the two host phases it ran, ``movement`` and
+``accounting``.  Both show the single-launch structure the paper's
+algorithms are about.
 """
 
 from __future__ import annotations
@@ -146,8 +149,10 @@ def trace_experiment(
 
 def _check_structure(tracers: Dict[str, _tracer.Tracer]) -> None:
     """Assert the structural guarantees the exported trace advertises:
-    a root primitive span per backend, per-work-group tracks, and (for
-    the simulated backend) launch spans on the host track."""
+    a root primitive span and launch spans labelled with the backend,
+    work-group tracks on the simulated backend only, and exactly the
+    ``movement`` and ``accounting`` host phases under every vectorized
+    launch span."""
     for name, t in tracers.items():
         prims = t.find_spans(cat="primitive")
         if not prims:
@@ -156,10 +161,22 @@ def _check_structure(tracers: Dict[str, _tracer.Tracer]) -> None:
         if not launches:
             raise ReproError(f"{name}: trace has no launch span")
         wg_tracks = [tr for tr in t.tracks if tr.startswith("wg:")]
-        if not wg_tracks:
+        if name == "simulated" and not wg_tracks:
             raise ReproError(f"{name}: trace has no work-group tracks")
+        if name == "vectorized" and wg_tracks:
+            raise ReproError(
+                f"{name}: trace has work-group tracks, but vectorized "
+                f"launches have no work-groups to time")
         for launch in launches:
             if launch.args.get("backend") != name:
                 raise ReproError(
                     f"{name}: launch span {launch.name!r} labelled "
                     f"{launch.args.get('backend')!r}")
+            if name == "vectorized":
+                phases = [c.name for c in launch.children
+                          if c.cat == "phase"]
+                if phases != ["movement", "accounting"]:
+                    raise ReproError(
+                        f"{name}: launch span {launch.name!r} has host "
+                        f"phases {phases}, expected movement and "
+                        f"accounting")

@@ -29,12 +29,12 @@ a scoped one::
 
 Spans carry a ``cat`` used by consumers to select subsets: ``primitive``
 (root span per primitive call), ``launch`` (one kernel launch),
-``pipeline`` (multi-launch baseline pipelines), ``phase`` (the
-algorithm phases ``load`` / ``reduce`` / ``sync`` / ``scan`` /
-``store``, emitted identically by both execution backends) and
-``sched`` (schedule-dependent spans such as ``sync_wait``, excluded
-from backend-equivalence comparisons exactly like ``n_spins`` is
-excluded from counter parity).
+``pipeline`` (multi-launch baseline pipelines), ``phase`` (what a
+launch ran: the simulated work-groups' algorithm phases ``load`` /
+``reduce`` / ``sync`` / ``scan`` / ``store`` on their own tracks, or a
+vectorized launch's two host phases ``movement`` and ``accounting``
+under its launch span) and ``sched`` (schedule-dependent spans such as
+``sync_wait``, which only the simulated backend has, like ``n_spins``).
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def new_trace_id() -> str:
 # specific requests.  Launch and primitive spans merge the current
 # annotations into their args, which is how a `request_id` threads from
 # `ServeRequest` all the way into the kernel-launch span that executed
-# it.  Phase/sched spans deliberately do NOT merge annotations: they are
-# compared across backends as exact trees by the parity tests.
+# it.  Phase/sched spans deliberately do NOT merge annotations: their
+# launch span carries them once for all of its phases.
 
 _ANNOTATIONS = threading.local()
 
@@ -378,8 +378,8 @@ class Tracer:
                  args: Optional[dict] = None,
                  parent: Optional[Span] = None) -> Span:
         """Record a span with explicit timestamps (used by the
-        vectorized backend to emit per-work-group phase spans that
-        mirror the whole-array operation intervals)."""
+        vectorized backend to record the host phases of a launch, whose
+        intervals it measures before it closes the launch span)."""
         sp = Span(name, cat, track, float(start_us), args, None)
         sp.end_us = float(end_us)
         if parent is not None:

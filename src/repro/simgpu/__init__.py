@@ -17,7 +17,7 @@ Data Sliding algorithms target.  It provides
 * :class:`~repro.simgpu.stream.Stream` for multi-kernel pipelines.
 """
 
-from repro.simgpu.buffers import AccessStats, Buffer
+from repro.simgpu.buffers import Buffer
 from repro.simgpu.counters import LaunchCounters
 from repro.simgpu.device import (
     CPU_INTEL,
@@ -39,7 +39,6 @@ from repro.simgpu.timing import TimingResult, replay_timing
 from repro.simgpu.workgroup import WorkGroup
 
 __all__ = [
-    "AccessStats",
     "Buffer",
     "LaunchCounters",
     "DeviceSpec",

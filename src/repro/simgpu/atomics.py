@@ -39,7 +39,6 @@ def atomic_add(buf: Buffer, index: int, value) -> int:
     """``old = buf[index]; buf[index] += value; return old`` atomically."""
     old = buf.data[index]
     buf.data[index] = old + value
-    buf.stats.atomic_ops += 1
     return old.item() if hasattr(old, "item") else old
 
 
@@ -51,7 +50,6 @@ def atomic_or(buf: Buffer, index: int, value) -> int:
     """
     old = int(buf.data[index])
     buf.data[index] = old | int(value)
-    buf.stats.atomic_ops += 1
     return old
 
 
@@ -60,7 +58,6 @@ def atomic_max(buf: Buffer, index: int, value) -> int:
     old = buf.data[index]
     if value > old:
         buf.data[index] = value
-    buf.stats.atomic_ops += 1
     return old.item() if hasattr(old, "item") else old
 
 
@@ -69,7 +66,6 @@ def atomic_cas(buf: Buffer, index: int, compare, value) -> int:
     old = buf.data[index]
     if old == compare:
         buf.data[index] = value
-    buf.stats.atomic_ops += 1
     return old.item() if hasattr(old, "item") else old
 
 
@@ -77,7 +73,6 @@ def atomic_exchange(buf: Buffer, index: int, value) -> int:
     """Unconditionally swap in ``value``; return the old value."""
     old = buf.data[index]
     buf.data[index] = value
-    buf.stats.atomic_ops += 1
     return old.item() if hasattr(old, "item") else old
 
 
@@ -96,7 +91,6 @@ def bulk_atomic_add(buf: Buffer, index: int, count: int) -> int:
     """
     old = int(buf.data[index])
     buf.data[index] = old + int(count)
-    buf.stats.atomic_ops += 1
     return old
 
 
@@ -136,7 +130,6 @@ def simd_atomic_add(buf: Buffer, indices: np.ndarray, values: np.ndarray) -> np.
         old_sorted = base + prefix_in_run
         old[order] = old_sorted.astype(buf.data.dtype, copy=False)
         np.add.at(buf.data, sorted_idx, sorted_val)
-    buf.stats.atomic_ops += int(indices.size)
     return old
 
 

@@ -1,17 +1,20 @@
-"""Global-memory buffers with access accounting and data-race tracking.
+"""Global-memory buffers with a transaction model and data-race tracking.
 
 A :class:`Buffer` wraps a flat NumPy array that plays the role of device
 global memory.  All Data Sliding kernels operate **in place** on these
 arrays, so a synchronization bug corrupts real data and is caught by the
 test oracles.  On top of raw storage the buffer provides:
 
-* **access accounting** — element and transaction counts for loads and
-  stores.  Transactions model coalescing: the indices touched by one
+* **the transaction model** — coalescing: the indices touched by one
   vector access are grouped into aligned segments of
   ``transaction_bytes`` and each distinct segment costs one transaction.
-  These counts drive the performance model and let tests assert, e.g.,
-  that the regular DS kernel moves each element exactly twice (one load,
-  one store).
+  :meth:`WorkGroup.load <repro.simgpu.workgroup.WorkGroup.load>` and
+  ``store`` count each access once and put the count on the event, which
+  the scheduler sums into the launch's
+  :class:`~repro.simgpu.counters.LaunchCounters` — the one record of a
+  launch's traffic, from which the performance model prices it and
+  tests assert, e.g., that the regular DS kernel moves each element
+  exactly twice (one load, one store).  The buffer keeps no ledger.
 * **read-before-overwrite tracking** — the heart of the paper is that
   adjacent work-group synchronization prevents a work-group from storing
   into a region another work-group has not yet *loaded*.  When tracking
@@ -32,7 +35,7 @@ import numpy as np
 
 from repro.errors import DataRaceError, LaunchError
 
-__all__ = ["Buffer", "AccessStats", "default_count_transactions"]
+__all__ = ["Buffer", "default_count_transactions"]
 
 ArrayLike = Union[np.ndarray, list, tuple]
 
@@ -46,45 +49,6 @@ def default_count_transactions() -> bool:
     of the vectorized backend cover the accounting there.
     """
     return not bool(int(os.environ.get("REPRO_BENCH_FULL", "0") or "0"))
-
-
-class AccessStats:
-    """Mutable accumulator of memory-access statistics for one buffer."""
-
-    __slots__ = (
-        "loads_elems",
-        "stores_elems",
-        "load_transactions",
-        "store_transactions",
-        "atomic_ops",
-    )
-
-    def __init__(self) -> None:
-        self.loads_elems = 0
-        self.stores_elems = 0
-        self.load_transactions = 0
-        self.store_transactions = 0
-        self.atomic_ops = 0
-
-    def reset(self) -> None:
-        self.loads_elems = 0
-        self.stores_elems = 0
-        self.load_transactions = 0
-        self.store_transactions = 0
-        self.atomic_ops = 0
-
-    def bytes_loaded(self, itemsize: int) -> int:
-        return self.loads_elems * itemsize
-
-    def bytes_stored(self, itemsize: int) -> int:
-        return self.stores_elems * itemsize
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AccessStats(loads={self.loads_elems}, stores={self.stores_elems}, "
-            f"load_txns={self.load_transactions}, store_txns={self.store_transactions}, "
-            f"atomics={self.atomic_ops})"
-        )
 
 
 class Buffer:
@@ -136,7 +100,6 @@ class Buffer:
             if count_transactions is None
             else bool(count_transactions)
         )
-        self.stats = AccessStats()
         self._expected_reader: Optional[np.ndarray] = None
         if self.transaction_bytes <= 0:
             raise LaunchError(f"buffer {name!r}: transaction_bytes must be positive")
@@ -230,11 +193,10 @@ class Buffer:
     # -- raw vector access (used by the WorkGroup context) --------------------
 
     def gather(self, idx: np.ndarray, *, reader_id: int = -1) -> np.ndarray:
-        """Vector load.  Returns the values at ``idx`` and updates stats."""
+        """Vector load.  Returns the values at ``idx`` and marks them read
+        for the race tracker."""
         idx = np.asarray(idx, dtype=np.int64)
         values = self.data[idx]
-        self.stats.loads_elems += int(idx.size)
-        self.stats.load_transactions += self._transactions(idx)
         self._fulfill_reads(idx)
         return values
 
@@ -244,8 +206,6 @@ class Buffer:
         idx = np.asarray(idx, dtype=np.int64)
         self._check_store_race(idx, writer_id)
         self.data[idx] = values
-        self.stats.stores_elems += int(idx.size)
-        self.stats.store_transactions += self._transactions(idx)
 
     def fill(self, value) -> None:
         """Host-side fill (not counted as device traffic)."""

@@ -150,7 +150,7 @@ def launch(
                      "wg_size": wg_size, "device": device.name}
         # Correlation attributes (request_id, batch_id) pushed by the
         # serve/pipeline layers via obs.annotate; phase spans stay
-        # annotation-free to preserve backend span parity.
+        # annotation-free (the launch span carries them for its groups).
         annotations = _obs.current_annotations()
         if annotations:
             span_args.update(annotations)

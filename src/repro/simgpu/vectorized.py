@@ -238,14 +238,10 @@ def fused_chain_accounting(
         "bytes_stored": n_true * itemsize + side_bytes,
         "load_transactions": 0,
         "store_transactions": 0,
-        "array_load_txns": 0,
-        "array_store_txns": 0,
     }
     if count_transactions:
-        out["array_load_txns"] = contiguous_round_txns(
+        out["load_transactions"] = 2 * grid + contiguous_round_txns(
             n, wg_size, itemsize, transaction_bytes)
-        out["array_store_txns"] = contiguous_range_txns(
+        out["store_transactions"] = 2 * grid + contiguous_range_txns(
             kept_before, kept_before + kt, itemsize, transaction_bytes)
-        out["load_transactions"] = out["array_load_txns"] + 2 * grid
-        out["store_transactions"] = out["array_store_txns"] + 2 * grid
     return out

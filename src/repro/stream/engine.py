@@ -195,13 +195,6 @@ class ShardChainResult:
     drops: int
 
 
-_EMPTY_EXTRAS = {
-    "filter": {"n_kept": 0, "n_removed": 0},
-    "unique": {"n_kept": 0, "n_removed": 0},
-    "partition": {"n_true": 0, "n_false": 0},
-}
-
-
 def run_shard_chain(
     stages: List[Tuple[OpDescriptor, tuple, dict]],
     values: np.ndarray,
@@ -231,15 +224,7 @@ def run_shard_chain(
             edges[i] = ((flat[0], flat[-1]) if flat.size else None)
         if i == len(stages) - 1:
             n_final_in = int(flat.size)
-        if flat.size == 0 and cat in _EMPTY_EXTRAS:
-            # The DS kernels need at least one element; an empty shard
-            # input degenerates to an empty result with no launches.
-            res = PrimitiveResult(
-                output=flat[:0].copy(), counters=[], device=stream.device,
-                extras=dict(_EMPTY_EXTRAS[cat]))
-        else:
-            res = desc.runner(x, *args, stream=stream, config=config,
-                              **kwargs)
+        res = desc.runner(x, *args, stream=stream, config=config, **kwargs)
         counters.extend(res.counters)
         out = res.output
         final_extras = res.extras

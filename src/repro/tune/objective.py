@@ -8,7 +8,10 @@ own ruler).  Ties within ``tie_margin`` relative wall are broken by the
 (:func:`repro.obs.analyze.analyze_tracer` over one additional traced
 run): between two equally fast configs, prefer the one whose
 work-groups spend less time spinning on the adjacent-sync flags or
-sitting idle — that's the config with headroom.
+sitting idle — that's the config with headroom.  Only simulated
+launches have work-groups to decompose; a vectorized launch records
+host phases alone, so its share is 0 and its ties fall back to wall
+clock.
 
 **Serve tier** — primary is the p95 of the loadgen latency
 distribution (what an SLO is written against), tie-broken by

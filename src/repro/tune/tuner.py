@@ -229,8 +229,12 @@ def tune_kernel(
     ``ops`` uses the loadgen spelling (``(("compact", 0.0), "unique")``);
     ``budget`` bounds the number of *trials* (each trial runs the
     workload ``samples`` untimed-median times plus one traced run).
-    The baseline (the caller's config untouched) is always trial #1, so
-    ``best_score.wall_ms <= baseline_score.wall_ms`` by construction.
+    The baseline (the caller's config untouched) is always trial #1.
+    On the vectorized backend every spin+idle share is 0, so ties fall
+    back to wall clock and ``best_score.wall_ms <=
+    baseline_score.wall_ms`` by construction; on the simulated backend
+    a winner may be up to the tie margin slower than the baseline when
+    its share is lower.
     When ``db`` is given the winner persists under the plan-cache-style
     key (and, with ``set_default=True``, as the per-backend
     ``default|`` entry too); a DB with a configured path is saved.

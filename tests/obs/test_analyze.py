@@ -1,17 +1,27 @@
-"""Trace analyzer: decomposition arithmetic, spin attribution, serve
-lifecycle stages, incident bundles and the CLI."""
+"""Trace analyzer: decomposition arithmetic, spin attribution, the host
+phases of vectorized launches, serve lifecycle stages, incident bundles
+and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.analyze import analyze, check_report, load_trace, main
+from repro.obs.analyze import (
+    analyze,
+    analyze_tracer,
+    check_report,
+    load_trace,
+    main,
+    render_text,
+)
 from repro.obs.export import export_chrome_trace, export_jsonl
 from repro.obs.flight import FlightRecorder
 from repro.obs.tracer import Tracer
 from repro.primitives import ds_stream_compact
+from repro.tune.objective import spin_idle_share
 
 
 class FakeClock:
@@ -108,8 +118,52 @@ class TestRealTraceBothBackends:
         assert launches, "no launch spans in the trace"
         assert check_report(report) == []
         for launch in launches:
+            host = launch["host_phases"]
+            if backend == "vectorized":
+                assert not launch["workgroups"]
+                assert set(host) == {"movement", "accounting", "other"}
+                assert host["movement"] > 0 and host["accounting"] > 0
+                assert sum(host.values()) == pytest.approx(
+                    launch["wall_us"], rel=0.01)
+            else:
+                assert launch["workgroups"] and host is None
             for wg in launch["workgroups"]:
                 assert wg["sum_ratio"] == pytest.approx(1.0, abs=0.01)
+
+
+def traced_vectorized_compact(n, **config):
+    from repro.config import DSConfig
+    x = np.random.default_rng(5).integers(0, 3, n).astype(np.float32)
+    with obs.tracing("spans") as tracer:
+        ds_stream_compact(x, 0.0, config=DSConfig(backend="vectorized",
+                                                  **config))
+    return tracer
+
+
+class TestHostPhases:
+    """A vectorized launch is reported by the host phases it recorded."""
+
+    def test_text_report_prints_one_host_line(self):
+        text = render_text(analyze_tracer(traced_vectorized_compact(4096)))
+        (host_line,) = [line.strip() for line in text.splitlines()
+                        if line.strip().startswith("host:")]
+        assert re.fullmatch(r"host: movement +[\d.]+% \| "
+                            r"accounting +[\d.]+% \| other +[\d.]+%",
+                            host_line)
+        assert "aggregate" not in text and "work-groups" not in text
+
+    def test_check_flags_host_phases_exceeding_wall(self):
+        report = analyze_tracer(traced_vectorized_compact(4096))
+        assert check_report(report) == []
+        (launch,) = report["processes"][0]["launches"]
+        launch["host_phases"]["accounting"] = launch["wall_us"]
+        assert any("host phases" in p for p in check_report(report))
+
+    @pytest.mark.parametrize("wg_size", [64, 1024])
+    def test_tuner_tie_break_reads_no_spin_or_idle(self, wg_size):
+        tracer = traced_vectorized_compact(1 << 16, wg_size=wg_size,
+                                           coarsening=1)
+        assert spin_idle_share(analyze_tracer(tracer)) == 0.0
 
 
 class TestServeLifecycle:

@@ -1,13 +1,20 @@
-"""Backend equivalence of the emitted span trees.
+"""What each execution backend's spans record, for the same input.
 
-Both execution backends must emit the *same* algorithm-phase structure
-for the same input — the tracing analogue of the counter-equivalence
-contract.  Because the simulated scheduler assigns tiles to hardware
-slots via dynamic work-group IDs while the vectorized backend assigns
-tile ``g`` to track ``g``, per-track trees are compared as a
-**multiset** over the work-group tracks, and only ``cat == "phase"``
-spans participate (``sched`` spans such as ``sync_wait`` are
-schedule-dependent, exactly like ``n_spins``).
+Both backends agree on the host-side structure — one root primitive
+span per call labelled with its backend, and the same launches, by
+name, in the same order.  Below the launch span each records only what
+it ran:
+
+* the event-level simulator has work-groups, so every group of a launch
+  leaves one phase tree on its own ``wg:`` track — ``load -> sync ->
+  store`` for regular launches, ``load -> reduce -> sync -> store`` with
+  the flag-round scans nested in ``store`` for irregular ones (the copy
+  kernel has no algorithm phases).  ``sched`` spans such as
+  ``sync_wait`` are schedule-dependent, exactly like ``n_spins``, and
+  are left out;
+* a vectorized launch runs whole-array operations, so it records two
+  host phases under its launch span, ``movement`` then ``accounting``,
+  whatever the grid size, and no ``wg:`` track exists.
 """
 
 from collections import Counter as Multiset
@@ -17,6 +24,7 @@ import pytest
 
 from repro import obs
 from repro.config import DSConfig
+from repro.pipeline import Pipeline
 from repro.primitives import (
     ds_copy_if,
     ds_pad,
@@ -36,6 +44,8 @@ from repro.workloads import (
 
 N = 4096
 WG = 64
+REGULAR = ("load", "sync", "store")
+IRREGULAR = ("load", "reduce", "sync", "store")
 
 
 def phase_tree(span):
@@ -44,16 +54,66 @@ def phase_tree(span):
                              if c.cat == "phase"))
 
 
-def wg_phase_forest(tracer):
-    """Multiset of per-work-group-track phase trees."""
+def wg_phase_forest(tracer, launch=None):
+    """Multiset of per-work-group-track phase trees (only those inside
+    ``launch`` when given)."""
     forest = Multiset()
     for track in tracer.tracks:
         if not track.startswith("wg:"):
             continue
         trees = tuple(phase_tree(sp) for sp in tracer.roots(track)
-                      if sp.cat == "phase")
-        forest[trees] += 1
+                      if sp.cat == "phase" and (
+                          launch is None
+                          or launch.start_us <= sp.start_us
+                          and sp.end_us <= launch.end_us))
+        if trees:
+            forest[trees] += 1
     return forest
+
+
+def expected_phases(launch_name):
+    """Top-level phases each work-group of a simulated launch runs."""
+    if launch_name.startswith("regular_ds"):
+        return REGULAR
+    if "copy" in launch_name:
+        return ()
+    return IRREGULAR
+
+
+def assert_simulated_phase_trees(tracer):
+    """One phase tree per work-group of every launch, its phases in
+    pipeline order, with scans nested only inside ``store``."""
+    for launch in tracer.find_spans(cat="launch"):
+        forest = wg_phase_forest(tracer, launch)
+        expected = expected_phases(launch.name)
+        if not expected:
+            assert not forest, f"{launch.name}: unexpected phase spans"
+            continue
+        assert sum(forest.values()) == launch.args["grid_size"]
+        for trees in forest:
+            assert tuple(name for name, _ in trees) == expected
+            for name, children in trees:
+                if expected == IRREGULAR and name == "store":
+                    assert children
+                    assert {c for c, _ in children} == {"scan"}
+                else:
+                    assert children == ()
+
+
+def assert_host_phases(tracer):
+    """No work-group track; every launch holds exactly its two host
+    phases, in order, inside the launch span.  Returns the launches."""
+    assert not [tr for tr in tracer.tracks if tr.startswith("wg:")]
+    launches = tracer.find_spans(cat="launch")
+    assert launches
+    for launch in launches:
+        assert [(c.name, c.cat, c.track) for c in launch.children] == [
+            ("movement", "phase", "host"), ("accounting", "phase", "host")]
+        movement, accounting = launch.children
+        assert (launch.start_us <= movement.start_us <= movement.end_us
+                <= accounting.start_us <= accounting.end_us
+                <= launch.end_us)
+    return launches
 
 
 def traced(run):
@@ -77,13 +137,12 @@ def assert_span_parity(run, primitive_name):
             assert sp.args["backend"] == name
             assert sp.end_us is not None
 
-    # Same number of launch spans.
-    assert len(sim.find_spans(cat="launch")) == \
-        len(vec.find_spans(cat="launch"))
+    # The same launches, by name, in the same order.
+    assert [sp.name for sp in sim.find_spans(cat="launch")] == \
+        [sp.name for sp in vec.find_spans(cat="launch")]
 
-    # Identical multiset of per-track phase trees.
-    assert wg_phase_forest(sim) == wg_phase_forest(vec), (
-        f"{primitive_name}: phase trees differ between backends")
+    assert_simulated_phase_trees(sim)
+    assert_host_phases(vec)
 
 
 class TestRegularPrimitives:
@@ -106,8 +165,10 @@ class TestRegularPrimitives:
         matrix = padding_matrix(64, 31)
         with obs.tracing("spans") as t:
             ds_pad(matrix, 1,
-                   config=DSConfig(wg_size=WG, seed=3, backend="vectorized"))
-        for trees, _ in wg_phase_forest(t).items():
+                   config=DSConfig(wg_size=WG, seed=3, backend="simulated"))
+        forest = wg_phase_forest(t)
+        assert forest
+        for trees, _ in forest.items():
             assert [name for name, _ in trees] == ["load", "sync", "store"]
 
 
@@ -159,7 +220,7 @@ class TestIrregularPrimitives:
         with obs.tracing("spans") as t:
             ds_stream_compact(values, 0.0,
                               config=DSConfig(
-                                  wg_size=WG, seed=8, backend="vectorized"))
+                                  wg_size=WG, seed=8, backend="simulated"))
         saw_scan = False
         for trees, _ in wg_phase_forest(t).items():
             for name, children in trees:
@@ -188,6 +249,54 @@ class TestKeyedPrimitives:
                                        config=DSConfig(
                                            wg_size=WG, seed=21, backend=b)),
             "ds_unique_by_key")
+
+
+def vectorized_spans(run, n):
+    """Trace ``run(n)`` on the vectorized backend; check every launch
+    holds only its host phases and return ``(n_spans, launches)``."""
+    with obs.tracing("spans") as t:
+        run(n, DSConfig(backend="vectorized"))
+    launches = assert_host_phases(t)
+    return sum(1 for _ in t.iter_spans()), launches
+
+
+def run_compact(n, config):
+    ds_stream_compact(compaction_array(n, 0.5, seed=8), 0.0, config=config)
+
+
+def run_fused_step(n, config):
+    p = Pipeline(config=config)
+    p.unique(p.compact(runs_array(n, 0.25, seed=16), 0.0))
+    p.run()
+
+
+def run_partition(n, config):
+    ds_partition(*predicate_fraction_array(n, 0.5, seed=19), config=config)
+
+
+class TestVectorizedSpanCount:
+    """A traced vectorized launch records the same spans at every grid
+    size (grid 1 at n = 1,024 and 256 at n = 1M with the default
+    config): the launch and its two host phases."""
+
+    def test_compact(self):
+        small, (launch,) = vectorized_spans(run_compact, 1024)
+        large, (big_launch,) = vectorized_spans(run_compact, 1 << 20)
+        assert launch.args["grid_size"] < big_launch.args["grid_size"]
+        # primitive, launch, movement, accounting
+        assert small == large == 4
+
+    def test_fused_pipeline_step(self):
+        small, (launch,) = vectorized_spans(run_fused_step, 1024)
+        large, _ = vectorized_spans(run_fused_step, 1 << 20)
+        assert launch.name.startswith("fused")
+        assert small == large
+
+    def test_partition_runs_the_copy_launch(self):
+        small, launches = vectorized_spans(run_partition, 1024)
+        large, _ = vectorized_spans(run_partition, 1 << 20)
+        assert launches[-1].name == "partition_copy_back"
+        assert small == large
 
 
 class TestMetricsParity:

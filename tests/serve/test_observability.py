@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import DSConfig
 from repro.errors import LaunchError
 from repro.serve import ServeConfig, Server
 
@@ -56,6 +57,21 @@ def test_request_spans_and_metrics_under_tracing(data):
                 if c.name.startswith("serve.") and c.kind == "counter"}
     assert counters["serve.admitted"] == 2
     assert counters["serve.completed"] == 2
+
+
+def test_flight_ring_keeps_both_vectorized_requests(rng):
+    # A vectorized launch records its launch span and two host phases
+    # whatever its grid, so two 64k-element chain requests, one after
+    # the other, leave both request spans in a 256-entry ring.
+    data = rng.integers(0, 4, 1 << 16).astype(np.float32)
+    with obs.tracing("spans"):
+        with Server(ServeConfig(flight_capacity=256),
+                    ds_config=DSConfig(backend="vectorized")) as srv:
+            for _ in range(2):
+                srv.submit_chain([("compact", 0.0), "unique"], data) \
+                   .result(timeout=60)
+            spans = srv.flight.span_dicts()
+    assert sum(sp["name"] == "serve.request" for sp in spans) == 2
 
 
 def test_no_tracer_no_spans(data):

@@ -49,11 +49,6 @@ class TestScalarAtomics:
         assert A.atomic_exchange(ibuf, 0, 10) == 4
         assert ibuf.data[0] == 10
 
-    def test_atomics_counted_in_stats(self, ibuf):
-        A.atomic_add(ibuf, 0, 1)
-        A.atomic_or(ibuf, 0, 1)
-        assert ibuf.stats.atomic_ops == 2
-
     def test_bulk_atomic_add_reserves_range(self, ibuf):
         assert A.bulk_atomic_add(ibuf, 0, 10) == 0
         assert A.bulk_atomic_add(ibuf, 0, 5) == 10
@@ -80,10 +75,6 @@ class TestSimdAtomicAdd:
         old = A.simd_atomic_add(ibuf, idx, val)
         assert np.array_equal(old, [0, 0, 1, 10, 3])
         assert ibuf.data[0] == 6 and ibuf.data[1] == 30
-
-    def test_counts_per_lane_atomics(self, ibuf):
-        A.simd_atomic_add(ibuf, np.zeros(6, dtype=np.int64), np.ones(6, dtype=np.int64))
-        assert ibuf.stats.atomic_ops == 6
 
     def test_empty_vector(self, ibuf):
         old = A.simd_atomic_add(ibuf, np.asarray([], dtype=np.int64),

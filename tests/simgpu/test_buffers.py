@@ -1,10 +1,17 @@
-"""Buffer storage, accounting and read-before-overwrite tracking."""
+"""Buffer storage, the transaction model of a work-group's accesses,
+and read-before-overwrite tracking."""
 
 import numpy as np
 import pytest
 
+from repro.config import DSConfig
 from repro.errors import DataRaceError, LaunchError
+from repro.primitives import ds_stream_compact
 from repro.simgpu.buffers import Buffer
+from repro.simgpu.device import MAXWELL
+from repro.simgpu.events import GlobalLoad, GlobalStore
+from repro.simgpu.workgroup import WorkGroup
+from repro.workloads import compaction_array
 
 
 class TestStorage:
@@ -45,54 +52,82 @@ class TestStorage:
             Buffer(np.zeros(4), "b", transaction_bytes=0)
 
 
+def load_event(buf, idx):
+    """The one ``GlobalLoad`` event ``WorkGroup.load`` yields for an
+    access of ``idx``, and the values it returns."""
+    access = WorkGroup(0, 64, MAXWELL).load(buf, np.asarray(idx))
+    event = next(access)
+    with pytest.raises(StopIteration) as done:
+        next(access)
+    return event, done.value.value
+
+
+def store_event(buf, idx, values):
+    """The one ``GlobalStore`` event ``WorkGroup.store`` yields."""
+    access = WorkGroup(0, 64, MAXWELL).store(buf, np.asarray(idx), values)
+    event = next(access)
+    with pytest.raises(StopIteration):
+        next(access)
+    return event
+
+
 class TestAccounting:
     def test_gather_counts_elements(self):
         buf = Buffer(np.arange(100, dtype=np.float32), "b")
         out = buf.gather(np.arange(10))
         assert np.array_equal(out, np.arange(10, dtype=np.float32))
-        assert buf.stats.loads_elems == 10
-        assert buf.stats.stores_elems == 0
+        event, values = load_event(buf, np.arange(10))
+        assert isinstance(event, GlobalLoad)
+        assert event.bytes == 10 * buf.itemsize and event.buffer_name == "b"
+        assert np.array_equal(values, out)
 
     def test_scatter_counts_elements(self):
         buf = Buffer(np.zeros(100, dtype=np.float32), "b")
         buf.scatter(np.arange(5), np.ones(5, dtype=np.float32))
-        assert buf.stats.stores_elems == 5
         assert np.array_equal(buf.data[:5], np.ones(5))
+        event = store_event(buf, np.arange(5, 10), np.ones(5, np.float32))
+        assert isinstance(event, GlobalStore)
+        assert event.bytes == 5 * buf.itemsize
+        assert np.array_equal(buf.data[:10], np.ones(10))
 
     def test_contiguous_access_transactions(self):
         # 128-byte transactions over f32: 32 elements per transaction.
         buf = Buffer(np.zeros(256, dtype=np.float32), "b")
-        buf.gather(np.arange(64))
-        assert buf.stats.load_transactions == 2
+        assert load_event(buf, np.arange(64))[0].transactions == 2
+        assert store_event(buf, np.arange(64), np.zeros(64)).transactions == 2
 
     def test_strided_access_inflates_transactions(self):
         buf = Buffer(np.zeros(2048, dtype=np.float32), "b")
-        buf.gather(np.arange(0, 2048, 32))  # one element per segment
-        assert buf.stats.load_transactions == 64
+        # one element per segment
+        assert load_event(buf, np.arange(0, 2048, 32))[0].transactions == 64
 
     def test_transaction_counting_can_be_disabled(self):
         buf = Buffer(np.zeros(64, dtype=np.float32), "b",
                      count_transactions=False)
-        buf.gather(np.arange(64))
-        assert buf.stats.load_transactions == 0
-        assert buf.stats.loads_elems == 64
-
-    def test_stats_reset(self):
-        buf = Buffer(np.zeros(8, dtype=np.float32), "b")
-        buf.gather(np.arange(8))
-        buf.stats.reset()
-        assert buf.stats.loads_elems == 0
-
-    def test_bytes_helpers(self):
-        buf = Buffer(np.zeros(8, dtype=np.float64), "b")
-        buf.gather(np.arange(4))
-        assert buf.stats.bytes_loaded(buf.itemsize) == 32
+        event, _ = load_event(buf, np.arange(64))
+        assert event.transactions == 0
+        assert event.bytes == 64 * buf.itemsize
 
     def test_empty_access_is_free(self):
         buf = Buffer(np.zeros(8, dtype=np.float32), "b")
-        buf.gather(np.asarray([], dtype=np.int64))
-        assert buf.stats.loads_elems == 0
-        assert buf.stats.load_transactions == 0
+        event, _ = load_event(buf, np.asarray([], dtype=np.int64))
+        assert event.bytes == 0 and event.transactions == 0
+
+    def test_each_access_counts_its_transactions_once(self, monkeypatch):
+        calls = []
+        count = Buffer._transactions
+
+        def counted(buf, idx):
+            calls.append(idx.size)
+            return count(buf, idx)
+
+        monkeypatch.setattr(Buffer, "_transactions", counted)
+        result = ds_stream_compact(
+            compaction_array(4096, 0.5, seed=8), 0.0,
+            config=DSConfig(wg_size=64, backend="simulated"))
+        (c,) = result.counters
+        assert c.n_loads and c.n_stores
+        assert len(calls) == c.n_loads + c.n_stores
 
 
 class TestRaceTracking:

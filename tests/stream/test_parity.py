@@ -140,6 +140,20 @@ class TestBoundaryCases:
         assert res.output.size == 0
         assert res.extras["n_kept"] == 0
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_empty_last_shard_runs_the_op(self, rng, workers):
+        # compact empties the last shard, so unique gets an empty input
+        # there: the op itself runs and reports its own extras, as it
+        # does for a shard that keeps something.
+        chain = [("compact", 0.0), "unique"]
+        config = DSConfig(backend="vectorized", shard_elems=1024)
+        values = rng.integers(0, 5, 4096).astype(np.float32)
+        values[3072:] = 0.0
+        res = _streamed(chain, values, config, workers=workers)
+        np.testing.assert_array_equal(
+            res.output, _monolithic(chain, values, config).output)
+        assert res.extras["in_place"] is True
+
     def test_iterator_source_parity(self, rng):
         values = _workload(rng, 900)
         config = _cfg("vectorized", shard_elems=173)
