@@ -53,7 +53,7 @@ serve-smoke:     ## serve layer: healthy + fault-injected loadgen, acceptance-ch
 stream-smoke:    ## out-of-core streaming: memmap 8x device capacity, compact->unique, sequential + pool, byte-checked
 	$(PYTHON) -m repro stream --check \
 	  --trace /tmp/repro_stream_smoke.json
-	$(PYTHON) -m repro analyze /tmp/repro_stream_smoke.json > /dev/null
+	$(PYTHON) -m repro analyze /tmp/repro_stream_smoke.json --check
 	$(PYTHON) -m pytest tests/stream -q
 
 fleet-smoke:     ## multi-process fleet: 3 workers, fault-injected loadgen, acceptance pass (incl. merged trace + fleet bundle) + CLI replay + analyze --check on the merged trace

@@ -143,10 +143,8 @@ class DSConfig:
         :data:`repro.stream.engine.DEFAULT_SHARD_ELEMS`.
     shard_workers:
         Forked worker processes for the streaming pool (0 = stream
-        sequentially in-process).
-    double_buffer:
-        Overlap the next shard's load with the current shard's compute
-        in the sequential streaming engine.
+        in-process).  The one pool-size knob: the serve and fleet front
+        doors take it from the request's config too.
     """
 
     wg_size: int = 256
@@ -158,7 +156,6 @@ class DSConfig:
     seed: int = 0
     shard_elems: Optional[int] = None
     shard_workers: int = 0
-    double_buffer: bool = True
 
     def __post_init__(self) -> None:
         if int(self.wg_size) <= 0:
@@ -194,8 +191,8 @@ class DSConfig:
         ``REPRO_REDUCTION_VARIANT``, ``REPRO_SCAN_VARIANT``,
         ``REPRO_RACE_TRACKING`` (0/1/true/false), ``REPRO_BACKEND``,
         ``REPRO_SEED``, ``REPRO_SHARD_ELEMS`` (>= 1),
-        ``REPRO_SHARD_WORKERS`` (>= 0), ``REPRO_SHARD_DOUBLE_BUFFER``
-        (boolean).  A malformed value raises :class:`ValueError`
+        ``REPRO_SHARD_WORKERS`` (>= 0; the only reader of that
+        variable).  A malformed value raises :class:`ValueError`
         naming the offending variable immediately, instead of failing
         deep inside a later kernel launch.
 
@@ -243,7 +240,6 @@ _ENV_TABLE: EnvTable = (
     ("REPRO_SEED", "seed", env_int),
     ("REPRO_SHARD_ELEMS", "shard_elems", env_int),
     ("REPRO_SHARD_WORKERS", "shard_workers", env_int),
-    ("REPRO_SHARD_DOUBLE_BUFFER", "double_buffer", env_bool),
 )
 
 DEFAULT_CONFIG = DSConfig()

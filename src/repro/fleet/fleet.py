@@ -75,7 +75,7 @@ from repro.obs.rollup import fleet_p95_ms, merge_server_stats
 from repro.obs.tracer import new_span_id, new_trace_id
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
 from repro.serve.request import OpStage, make_batch_key
-from repro.serve.server import _chain_spec
+from repro.stream.engine import normalize_chain
 from repro.stream.pool import fork_unavailable_reason
 from repro.stream.source import as_source
 
@@ -473,13 +473,12 @@ class Fleet:
         its batch key, so repeats of the same traffic shape always hit
         the same worker's warm plan cache.
         """
+        stages = [OpStage(desc, args, kwargs)
+                  for desc, args, kwargs in normalize_chain(ops)]
         frozen = freeze_ops(ops)  # verifies predicates cross safely
         source = as_source(values, site="Fleet.submit")
         array = source.materialize() if source.in_core else source
         cfg = self.ds_config if self.ds_config is not None else DSConfig()
-        stages = [OpStage(desc, args, kwargs)
-                  for desc, args, kwargs in _chain_spec(
-                      [ops] if isinstance(ops, str) else list(ops))]
         batch_key = make_batch_key(stages, array, cfg,
                                    cfg.resolved_backend())
         desc, scratch, meta = stage_payload(values)
@@ -556,13 +555,12 @@ class Fleet:
     def prime(self, ops, values) -> str:
         """Pre-warm the worker the shape routes to (plan cache);
         returns that worker's id."""
+        stages = [OpStage(desc, args, kwargs)
+                  for desc, args, kwargs in normalize_chain(ops)]
         frozen = freeze_ops(ops)
         source = as_source(values, site="Fleet.prime")
         array = source.materialize() if source.in_core else source
         cfg = self.ds_config if self.ds_config is not None else DSConfig()
-        stages = [OpStage(desc, args, kwargs)
-                  for desc, args, kwargs in _chain_spec(
-                      [ops] if isinstance(ops, str) else list(ops))]
         batch_key = make_batch_key(stages, array, cfg,
                                    cfg.resolved_backend())
         with self._lock:

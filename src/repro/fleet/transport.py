@@ -93,6 +93,8 @@ def freeze_ops(ops) -> List[list]:
     tuple — and returns nested plain lists with predicates replaced by
     verified ``["__pred__", name]`` markers.
     """
+    if isinstance(ops, str):  # a bare op name is a one-op chain
+        ops = [ops]
     frozen = []
     for item in ops:
         if isinstance(item, str):

@@ -84,10 +84,11 @@ class ServeConfig:
         JSON object per line); ``None`` keeps events in the ring only
         (they still reach incident bundles).  Needs the recorder, so
         ``flight_capacity`` must be positive.
-    shard_workers:
-        Forked shard-worker processes for requests whose input streams
-        out of core (:mod:`repro.stream`); ``0`` streams such requests
-        sequentially inside the serve worker thread.
+
+    A request whose input streams out of core (:mod:`repro.stream`)
+    takes its shard-pool size from its own
+    :attr:`DSConfig.shard_workers <repro.config.DSConfig>`, as at every
+    other front door.
     """
 
     max_batch_size: int = 8
@@ -105,7 +106,6 @@ class ServeConfig:
     incident_cooldown_ms: float = 1000.0
     slo_ms: Optional[float] = None
     event_log: Optional[str] = None
-    shard_workers: int = 0
 
     def __post_init__(self) -> None:
         check_positive(self, "max_batch_size", int(self.max_batch_size))
@@ -125,8 +125,6 @@ class ServeConfig:
                        zero_ok=True)
         check_positive(self, "incident_cooldown_ms",
                        float(self.incident_cooldown_ms), zero_ok=True)
-        check_positive(self, "shard_workers", int(self.shard_workers),
-                       zero_ok=True)
         if (self.default_deadline_ms is not None
                 and float(self.default_deadline_ms) <= 0):
             raise ValueError(
@@ -156,9 +154,8 @@ class ServeConfig:
         ``REPRO_SERVE_BREAKER_COOLDOWN_MS``, ``REPRO_SERVE_SEED``,
         ``REPRO_SERVE_FLIGHT_CAPACITY``, ``REPRO_SERVE_INCIDENT_DIR``,
         ``REPRO_SERVE_INCIDENT_COOLDOWN_MS``, ``REPRO_SERVE_SLO_MS``,
-        ``REPRO_SERVE_EVENT_LOG``, and — shared with
-        :meth:`repro.config.DSConfig.from_env` — ``REPRO_SHARD_WORKERS``.
-        Malformed values raise :class:`ValueError` naming the variable.
+        and ``REPRO_SERVE_EVENT_LOG``.  Malformed values raise
+        :class:`ValueError` naming the variable.
         """
         return config_from_env(cls, _ENV_TABLE, environ)
 
@@ -179,7 +176,6 @@ _ENV_TABLE: EnvTable = (
     ("REPRO_SERVE_INCIDENT_COOLDOWN_MS", "incident_cooldown_ms", env_float),
     ("REPRO_SERVE_SLO_MS", "slo_ms", env_float),
     ("REPRO_SERVE_EVENT_LOG", "event_log", str),
-    ("REPRO_SHARD_WORKERS", "shard_workers", env_int),
 )
 
 DEFAULT_SERVE_CONFIG = ServeConfig()

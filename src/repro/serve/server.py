@@ -58,7 +58,7 @@ import queue as _queue_mod
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.engine import Pipeline
 from repro.pipeline.plan import PlanCache
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
-from repro.primitives.opspec import OpDescriptor, get_op
+from repro.primitives.opspec import get_op
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 from repro.serve.degrade import degraded_result, run_degraded_stage
@@ -95,6 +95,7 @@ from repro.serve.request import (
 )
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
+from repro.stream.engine import normalize_chain
 
 __all__ = ["Server"]
 
@@ -109,24 +110,6 @@ TRANSIENT_ERRORS = (LaunchError, ResourceError)
 # pipeline execution whenever a tracer is active; with tracing off the
 # lock is never taken and workers run concurrently.
 _TRACE_EXEC_LOCK = threading.Lock()
-
-
-def _chain_spec(ops) -> List[Tuple[OpDescriptor, tuple, dict]]:
-    """Normalize a submit/submit_chain op spec into descriptor triples."""
-    stages = []
-    for item in ops:
-        if isinstance(item, str):
-            item = (item,)
-        if not item:
-            raise ServeError("empty op spec in chain")
-        name, *args = item
-        kwargs = {}
-        if args and isinstance(args[-1], dict):
-            kwargs = args.pop()
-        stages.append((get_op(name), tuple(args), kwargs))
-    if not stages:
-        raise ServeError("a request needs at least one op")
-    return stages
 
 
 class Server:
@@ -391,7 +374,7 @@ class Server:
         ``trace_id``/``parent_span_id`` so the fleet merger can parent
         this process's spans under the router's.
         """
-        return self._admit(_chain_spec(list(ops)), values,
+        return self._admit(normalize_chain(ops), values,
                            config=config, deadline_ms=deadline_ms,
                            trace=trace)
 
@@ -488,12 +471,6 @@ class Server:
 
         source = as_source(values, site="Server.submit")
         array = source.materialize() if source.in_core else source
-        if (not source.in_core and self.config.shard_workers
-                and not cfg.shard_workers):
-            # The serve-level pool knob (ServeConfig.shard_workers /
-            # REPRO_SHARD_WORKERS) applies to streamed requests unless
-            # the per-request DSConfig already pinned a pool size.
-            cfg = cfg.replace(shard_workers=self.config.shard_workers)
         stages = [OpStage(desc, args, kwargs) for desc, args, kwargs in spec]
         backend = cfg.resolved_backend()
         if self.tuning_db is not None and isinstance(array, np.ndarray):
@@ -583,7 +560,7 @@ class Server:
         number of plans now cached for the shape.
         """
         cfg = config if config is not None else self.ds_config
-        spec = _chain_spec(list(ops) if not isinstance(ops, str) else [ops])
+        spec = normalize_chain(ops)
         from repro.stream.source import as_source
 
         src = as_source(values, site="Server.prime")

@@ -4,10 +4,13 @@ Builds a seeded on-disk memmap several times larger than the configured
 device capacity (``--shard-elems``, the per-shard element budget),
 streams it through a ``compact → unique`` chain with
 :func:`repro.stream.engine.stream_run` in **both** execution modes —
-single-process (double-buffered prefetch) and the
-``multiprocessing.shared_memory`` worker pool — and verifies each
-result byte-for-byte against the NumPy reference computed over the
-whole file.  This is the ``make stream-smoke`` entry point::
+single-process and the ``multiprocessing.shared_memory`` worker pool
+— and verifies each result byte-for-byte against the NumPy reference
+computed over the whole file.  The two modes share one stitcher, so
+``--check`` also requires the same extras (apart from ``n_workers``)
+and the same per-launch kernel names and bytes moved: the fields that
+do not depend on the simulated tier's schedule.  This is the
+``make stream-smoke`` entry point::
 
     python -m repro stream --check                  # smoke + verify
     python -m repro stream --trace stream.json      # + Chrome trace
@@ -69,6 +72,24 @@ def _run_mode(mm, remove_value, config, workers, label):
     return label, result, wall_s
 
 
+def _mode_mismatches(runs) -> list:
+    """How the pooled run differs from the single-process one beyond
+    ``n_workers`` (empty when they agree)."""
+    (seq_label, seq, _), (pool_label, pool, _) = runs
+    extras = [{k: v for k, v in r.extras.items() if k != "n_workers"}
+              for r in (seq, pool)]
+    launches = [[(c.kernel_name, c.bytes_moved) for c in r.counters]
+                for r in (seq, pool)]
+    out = []
+    if extras[0] != extras[1]:
+        out.append(f"{pool_label} extras {extras[1]} differ from "
+                   f"{seq_label}'s {extras[0]}")
+    if launches[0] != launches[1]:
+        out.append(f"{pool_label} launches (kernel, bytes moved) differ "
+                   f"from {seq_label}'s")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro stream",
@@ -99,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "analyze PATH)")
     parser.add_argument("--check", action="store_true",
                         help="non-zero exit unless both modes verify "
-                             "byte-identically and the input spanned "
-                             ">=4 shards")
+                             "byte-identically, agree on extras and "
+                             "launches, and the input spanned >=4 shards")
     return parser
 
 
@@ -169,6 +190,9 @@ def main(argv=None) -> int:
             if ex.get("shards", 1) < 4:
                 failures.append(f"{label}: only {ex.get('shards')} "
                                 f"shards (need >= 4)")
+
+        if len(runs) == 2:
+            failures.extend(_mode_mismatches(runs))
 
         if args.check:
             if failures:

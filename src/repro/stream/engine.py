@@ -14,11 +14,14 @@ stay single-pass over inputs that never fit in memory at once.
 
 Execution is bulk-synchronous pseudo-streaming with three stages per
 shard — **load** (``source.read``), **compute** (the DS chain),
-**store** (placing the shard's output at its ledger-resolved offset).
-With ``double_buffer`` (the default) a prefetch thread loads shard
-*k+1* while shard *k* computes.  Every stage is traced as a
-``cat="stream"`` span on track ``shard:<k>``, which is what lets
-``python -m repro analyze`` decompose a stream pipeline's time.
+**store** (a pool worker's copy into the shared output region; empty
+in-process, where the output stays where the chain left it).  There is
+one shard loop: a *producer* — the in-process loop or the fork pool
+(:mod:`repro.stream.pool`) — hands each finished shard to the stitcher
+as a :class:`ShardDone` record, and the stitcher publishes it to the
+ledger, traces its stages as ``cat="stream"`` spans on track
+``shard:<k>`` (what lets ``python -m repro analyze`` decompose a stream
+pipeline's time) and assembles the output in shard order.
 
 Boundary semantics per op (the shard protocol; see docs/streaming.md):
 
@@ -28,9 +31,11 @@ Boundary semantics per op (the shard protocol; see docs/streaming.md):
 * **unique** — one cross-boundary stencil tap: shard *k* drops its
   first output element iff its stage-input's first element equals the
   stage-input's *last* element of the nearest non-empty predecessor
-  (empty shards pass the carry through).  Any position sequentially;
-  final-stage-only under the worker pool (an inline drop rewrites
-  downstream inputs, which only the sequential path can do).
+  (empty shards pass the carry through).  Any position in-process,
+  where the drop is applied inline; final-stage-only under the worker
+  pool, which applies it in ascending shard order before the stitcher
+  sees the shards (an inline drop rewrites downstream inputs, which
+  only the in-process loop can do).
 * **partition** — final stage only: each shard yields
   ``[trues; falses]`` plus ``n_true``; stitching concatenates every
   shard's trues in shard order, then every shard's falses — exactly
@@ -46,12 +51,12 @@ the blocking op.
 
 from __future__ import annotations
 
-import queue as _queue_mod
-import threading
+import itertools
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +71,7 @@ from repro.primitives.common import (
 from repro.primitives.opspec import OpDescriptor, get_op
 from repro.stream.ledger import ShardLedger
 from repro.stream.plan import plan_shards
-from repro.stream.source import DSSource, ShardIterSource, as_source
+from repro.stream.source import DSSource, as_source
 
 __all__ = [
     "DEFAULT_SHARD_ELEMS",
@@ -75,6 +80,7 @@ __all__ = [
     "normalize_chain",
     "run_shard_chain",
     "ShardChainResult",
+    "ShardDone",
     "stream_run",
 ]
 
@@ -114,10 +120,14 @@ def normalize_chain(ops) -> List[Tuple[OpDescriptor, tuple, dict]]:
     """Normalize an op-chain spec into ``(descriptor, args, kwargs)``
     triples.
 
+    The one chain normalizer of every front door (``stream_run``,
+    ``Server.submit_chain``, ``Fleet.submit_chain``, the tuner).
     Accepts the serve-layer spelling (``"unique"`` /
     ``("compact", 0.0)`` / ``("partition", pred, {"in_place": True})``),
-    descriptors in place of names, pre-built triples, and a bare
-    string/descriptor for a single-op chain.
+    descriptors in place of names, pre-built ``(descriptor, args,
+    kwargs)`` triples, and a bare string/descriptor for a single-op
+    chain.  Only a descriptor-headed item can be a triple, so a named
+    op's tuple argument followed by keywords stays one argument.
     """
     if isinstance(ops, (str, OpDescriptor)):
         ops = [ops]
@@ -127,11 +137,12 @@ def normalize_chain(ops) -> List[Tuple[OpDescriptor, tuple, dict]]:
             item = (item,)
         item = list(item)
         if not item:
-            raise ReproError("empty op spec in stream chain")
+            raise ReproError("empty op spec in an op chain")
         head = item[0]
         desc = head if isinstance(head, OpDescriptor) else get_op(head)
         rest = item[1:]
-        if (len(rest) == 2 and isinstance(rest[0], tuple)
+        if (isinstance(head, OpDescriptor) and len(rest) == 2
+                and isinstance(rest[0], tuple)
                 and isinstance(rest[1], dict)):
             # Pre-normalized triple: (desc, args_tuple, kwargs_dict).
             stages.append((desc, tuple(rest[0]), dict(rest[1])))
@@ -141,7 +152,7 @@ def normalize_chain(ops) -> List[Tuple[OpDescriptor, tuple, dict]]:
             kwargs = rest.pop()
         stages.append((desc, tuple(rest), dict(kwargs)))
     if not stages:
-        raise ReproError("a stream chain needs at least one op")
+        raise ReproError("an op chain needs at least one op")
     return stages
 
 
@@ -181,10 +192,12 @@ def pool_restriction(
 class ShardChainResult:
     """One shard's trip through the chain.
 
+    ``output`` is the shard's output with any boundary drop applied.
     ``edges`` maps the index of each ``unique`` stage to that stage's
     input ``(first, last)`` element pair (``None`` for an empty stage
-    input) — the boundary-carry material pool-mode stitching consumes.
-    ``drops`` counts carries applied *inline* (sequential mode only).
+    input) — the boundary-carry material the pool's final-``unique``
+    drop consumes.  ``drops`` counts the boundary drops applied to this
+    shard's output (inline in-process, by the pool otherwise).
     """
 
     output: np.ndarray
@@ -204,11 +217,12 @@ def run_shard_chain(
 ) -> ShardChainResult:
     """Run the whole chain over one in-core shard.
 
-    ``carries`` (sequential mode) maps each ``unique`` stage index to
-    the stage-input last element of the nearest non-empty predecessor
+    ``carries`` (in-process) maps each ``unique`` stage index to the
+    stage-input last element of the nearest non-empty predecessor
     shard; boundary drops are applied inline and the dict is updated
-    for the next shard.  With ``carries=None`` (pool mode) no drops are
-    applied — the caller stitches from ``edges``.
+    for the next shard.  With ``carries=None`` (pool workers, and the
+    monolithic fallback) no drops are applied — the pool applies the
+    final ``unique``'s drop from ``edges``.
     """
     counters: list = []
     edges: Dict[int, Optional[Tuple[object, object]]] = {}
@@ -217,29 +231,44 @@ def run_shard_chain(
     n_final_in = 0
     drops = 0
     for i, (desc, args, kwargs) in enumerate(stages):
-        cat = STREAMABLE_OPS[desc.name]
         x = np.asarray(out)
-        flat = x.reshape(-1)
-        if cat == "unique":
+        n_final_in = int(x.size)
+        flat = None
+        if STREAMABLE_OPS.get(desc.name) == "unique":
+            flat = x.reshape(-1)
             edges[i] = ((flat[0], flat[-1]) if flat.size else None)
-        if i == len(stages) - 1:
-            n_final_in = int(flat.size)
         res = desc.runner(x, *args, stream=stream, config=config, **kwargs)
         counters.extend(res.counters)
         out = res.output
         final_extras = res.extras
-        if cat == "unique" and carries is not None:
+        if flat is not None and carries is not None and flat.size:
             prev_last = carries.get(i)
-            if (prev_last is not None and flat.size
-                    and flat[0] == prev_last):
+            if prev_last is not None and flat[0] == prev_last:
                 out = out[1:]
                 drops += 1
-            if flat.size:
-                carries[i] = flat[-1]
+            carries[i] = flat[-1]
     return ShardChainResult(output=out, counters=counters,
                             n_final_in=n_final_in,
                             final_extras=final_extras,
                             edges=edges, drops=drops)
+
+
+@dataclass
+class ShardDone:
+    """A finished shard, as a producer hands it to the stitcher.
+
+    ``result.output`` has any boundary drop applied (for a pooled
+    shard it is a view of the shared output region); ``t_ns`` holds
+    the ``perf_counter_ns`` stamps of load start, load end (compute
+    start), compute end (store start) and store end; ``worker`` is the
+    pool process that ran the shard (``None`` in-process).
+    """
+
+    index: int
+    n_elems: int
+    result: ShardChainResult
+    t_ns: Tuple[int, int, int, int]
+    worker: Optional[int] = None
 
 
 def _row_elems(stages, source: DSSource) -> Optional[int]:
@@ -256,94 +285,52 @@ def _row_elems(stages, source: DSSource) -> Optional[int]:
     return int(shape[1])
 
 
+def _out_cols(stages, row_elems: int) -> int:
+    """Output row width of a sole-stage pad/unpad chain."""
+    delta = int(stages[0][1][0])
+    cat = STREAMABLE_OPS[stages[0][0].name]
+    return row_elems + delta if cat == "pad" else row_elems - delta
+
+
 def _monolithic_fallback(stages, source: DSSource, stream,
                          config: DSConfig, reason: str) -> PrimitiveResult:
     warnings.warn(
         f"stream_run: {reason}; materializing the whole source in core "
         f"and running monolithically",
         RuntimeWarning, stacklevel=3)
-    out: np.ndarray = source.materialize()
-    counters: list = []
-    extras: dict = {}
-    for desc, args, kwargs in stages:
-        res = desc.runner(out, *args, stream=stream, config=config,
-                          **kwargs)
-        counters.extend(res.counters)
-        out = res.output
-        extras = res.extras
-    extras = dict(extras)
+    res = run_shard_chain(stages, source.materialize(), stream, config)
+    extras = dict(res.final_extras)
     extras.update({"streamed": False, "shards": 1})
-    return PrimitiveResult(output=out, counters=counters,
+    return PrimitiveResult(output=res.output, counters=res.counters,
                            device=stream.device, extras=extras)
 
 
-class _ShardFeed:
-    """The load stage: yields ``(k, array, load_start_us, load_end_us)``.
-
-    With ``double_buffer`` a daemon thread reads one shard ahead of the
-    consumer (bounded queue of depth 1: one shard computing, one shard
-    loading).  The thread touches *only* the source and the clock —
-    never the tracer's span stacks, which are not thread-safe; all
-    spans are emitted later from the consuming thread with explicit
-    timestamps.
-    """
-
-    _DONE = object()
-
-    def __init__(self, source: DSSource, shard_elems: int,
-                 row_elems: Optional[int], now, double_buffer: bool) -> None:
-        self._source = source
-        self._shard_elems = int(shard_elems)
-        self._row_elems = row_elems
-        self._now = now
-        self._double = bool(double_buffer)
-        self._queue: "_queue_mod.Queue" = _queue_mod.Queue(maxsize=1)
-        self._error: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
-        if self._double:
-            self._thread = threading.Thread(
-                target=self._pump, name="repro-stream-prefetch", daemon=True)
-            self._thread.start()
-
-    def _read_all(self):
-        src = self._source
-        if src.sized:
-            for sh in plan_shards(int(src.n_elems), self._shard_elems,
-                                  row_elems=self._row_elems):
-                t0 = self._now()
-                arr = src.read(sh.lo, sh.hi)
-                yield sh.index, arr, t0, self._now()
+def _local_shards(stages, src: DSSource, shards, stream,
+                  config: DSConfig, shard_elems: int,
+                  row_elems: Optional[int]):
+    """The in-process producer: read and run each shard in order
+    (``shards`` is ``None`` for an unsized source), applying
+    ``unique``'s boundary carry inline, so ``unique`` works at any
+    chain position."""
+    carries: Dict[int, object] = {}
+    for k in itertools.count():
+        t0 = time.perf_counter_ns()
+        if shards is None:
+            arr = src.next_shard(shard_elems)
+        elif k < len(shards):
+            arr = src.read(shards[k].lo, shards[k].hi)
         else:
-            assert isinstance(src, ShardIterSource)
-            k = 0
-            while True:
-                t0 = self._now()
-                arr = src.next_shard(self._shard_elems)
-                if arr is None:
-                    return
-                yield k, arr, t0, self._now()
-                k += 1
-
-    def _pump(self) -> None:
-        try:
-            for item in self._read_all():
-                self._queue.put(item)
-        except BaseException as exc:  # re-raised on the consumer side
-            self._error = exc
-        finally:
-            self._queue.put(self._DONE)
-
-    def __iter__(self):
-        if not self._double:
-            yield from self._read_all()
+            arr = None
+        if arr is None:
             return
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                if self._error is not None:
-                    raise self._error
-                return
-            yield item
+        arr = np.asarray(arr)
+        n_in = int(arr.size)
+        if row_elems is not None:
+            arr = arr.reshape(-1, row_elems)
+        t1 = time.perf_counter_ns()
+        res = run_shard_chain(stages, arr, stream, config, carries)
+        t2 = time.perf_counter_ns()
+        yield ShardDone(k, n_in, res, (t0, t1, t2, t2))
 
 
 def stream_run(
@@ -353,159 +340,150 @@ def stream_run(
     stream=None,
     config: Optional[DSConfig] = None,
     workers: Optional[int] = None,
-    double_buffer: Optional[bool] = None,
     trace=None,
 ) -> PrimitiveResult:
     """Stream an op chain over ``source``, shard by shard.
 
     ``ops`` is a chain spec (see :func:`normalize_chain`); ``source``
     is anything :func:`~repro.stream.source.as_source` accepts.
-    ``workers`` / ``double_buffer`` default to ``config.shard_workers``
-    / ``config.double_buffer``; ``workers > 0`` dispatches pool-capable
-    chains to :func:`~repro.stream.pool.pool_run`.  ``trace`` is an
-    optional distributed trace context (a
-    :class:`~repro.obs.distrib.TraceContext` or its dict form) handed
-    to the pool's forked workers so per-shard spans correlate with the
-    originating fleet request.  Returns one merged
+    ``workers`` defaults to ``config.shard_workers``; ``workers > 0``
+    runs pool-capable chains over more than one shard in that many
+    forked processes (at most one per shard), and anything else in
+    this process.  ``trace`` is an optional distributed trace context
+    (a :class:`~repro.obs.distrib.TraceContext` or its dict form)
+    whose identity every per-shard span carries, so the shards
+    correlate with the originating fleet request.  Returns one merged
     :class:`~repro.primitives.common.PrimitiveResult` whose output is
-    byte-identical to the monolithic chain and whose counters are the
-    per-shard launch records in shard order.
+    byte-identical to the monolithic chain, whose counters are the
+    per-shard launch records in shard order, and whose
+    ``extras["n_workers"]`` counts the processes that ran.
     """
     config = config if config is not None else DEFAULT_CONFIG
     src = as_source(source, site="stream_run")
     stages = normalize_chain(ops)
     stream = resolve_stream(stream, seed=config.seed)
-    shard_elems = int(getattr(config, "shard_elems", None)
-                      or DEFAULT_SHARD_ELEMS)
+    shard_elems = int(config.shard_elems or DEFAULT_SHARD_ELEMS)
     reason = streamable_reason(stages)
     if reason is not None:
         return _monolithic_fallback(stages, src, stream, config, reason)
-    n_workers = int(workers if workers is not None
-                    else getattr(config, "shard_workers", 0) or 0)
-    dbuf = bool(getattr(config, "double_buffer", True)
-                if double_buffer is None else double_buffer)
-    if n_workers > 0:
-        block = pool_restriction(stages, src)
-        if block is None:
-            from repro.stream.pool import fork_unavailable_reason, pool_run
-            block = fork_unavailable_reason()
-            if block is None:
-                return pool_run(stages, src, stream=stream, config=config,
-                                n_workers=n_workers,
-                                shard_elems=shard_elems, trace=trace)
-        warnings.warn(
-            f"stream_run: {block}; falling back to the single-process "
-            f"streaming path", RuntimeWarning, stacklevel=2)
-        n_workers = 0
-    return _sequential_run(stages, src, stream, config, shard_elems, dbuf)
-
-
-def _sequential_run(stages, src: DSSource, stream, config: DSConfig,
-                    shard_elems: int, dbuf: bool) -> PrimitiveResult:
-    tracer = _obs.active()
-    now = tracer.now_us if tracer is not None else (
-        lambda: time.perf_counter_ns() / 1e3)
     row_elems = _row_elems(stages, src)
-    final_cat = STREAMABLE_OPS[stages[-1][0].name]
-    sized = src.sized
-    ledger = ShardLedger(len(plan_shards(int(src.n_elems), shard_elems,
-                                         row_elems=row_elems))
-                         if sized else 0)
+    shards = (plan_shards(int(src.n_elems), shard_elems,
+                          row_elems=row_elems) if src.sized else None)
+    n_workers = int(workers if workers is not None
+                    else config.shard_workers)
+    if n_workers > 0:
+        from repro.stream.pool import fork_unavailable_reason
 
-    outputs: List = []
-    counters: list = []
-    carries: Dict[int, object] = {}
-    final_extras: dict = {}
-    drops_total = 0
-    final_in_total = 0
-    n_true_total = 0
-    n_false_total = 0
+        block = (pool_restriction(stages, src)
+                 or fork_unavailable_reason())
+        if block is not None:
+            warnings.warn(
+                f"stream_run: {block}; falling back to the single-process "
+                f"streaming path", RuntimeWarning, stacklevel=2)
+        # One shard cannot amortize a fork; the in-process loop is
+        # byte-identical.
+        n_workers = (0 if block is not None or len(shards) <= 1
+                     else min(n_workers, len(shards)))
+    if n_workers:
+        from repro.stream.pool import pool_shards
 
+        # The pool's shared regions back the records' outputs, so its
+        # scope spans the whole stitch.
+        producer = pool_shards(stages, src, shards, stream=stream,
+                               config=config, n_workers=n_workers,
+                               row_elems=row_elems)
+    else:
+        producer = nullcontext(_local_shards(
+            stages, src, shards, stream, config, shard_elems, row_elems))
+    ledger = ShardLedger(len(shards or ()))
     with primitive_span(
         "stream.run", backend=config.backend,
         ops="+".join(d.short for d, _, _ in stages),
-        shard_elems=shard_elems, n_workers=0, double_buffer=dbuf,
-    ) as sp:
-        feed = _ShardFeed(src, shard_elems, row_elems, now, dbuf)
-        for k, arr, l0, l1 in feed:
-            if not sized:
-                ledger.grow(1)
-            arr = np.asarray(arr)
-            n_in = int(arr.size)
-            if row_elems is not None:
-                arr = arr.reshape(-1, row_elems)
-            c0 = now()
-            res = run_shard_chain(stages, arr, stream, config, carries)
-            c1 = now()
-            counters.extend(res.counters)
-            drops_total += res.drops
-            final_in_total += res.n_final_in
-            final_extras = res.final_extras
-            if final_cat == "partition":
-                nt = int(res.final_extras.get("n_true", 0))
-                nf = int(res.final_extras.get("n_false", 0))
-                n_true_total += nt
-                n_false_total += nf
-                outputs.append((res.output[:nt], res.output[nt:]))
-                ledger.publish(k, nt)
-            else:
-                outputs.append(res.output)
-                ledger.publish(k, int(np.asarray(res.output).size))
-            offset = ledger.try_resolve(k)
-            s1 = now()
-            if tracer is not None:
-                track = f"shard:{k}"
-                tracer.add_span("stream.load", track=track, cat="stream",
-                                start_us=l0, end_us=l1,
-                                args={"shard": k, "n_elems": n_in})
-                tracer.add_span("stream.compute", track=track, cat="stream",
-                                start_us=c0, end_us=c1,
-                                args={"shard": k, "n_elems": n_in,
-                                      "offset": offset})
-                tracer.add_span("stream.store", track=track, cat="stream",
-                                start_us=c1, end_us=s1,
-                                args={"shard": k, "offset": offset})
-        output, extras = _assemble(stages, src, outputs, ledger, final_cat,
-                                   final_extras, final_in_total,
-                                   n_true_total, n_false_total, row_elems)
-        extras.update({"streamed": True, "shards": ledger.n_shards,
-                       "shard_elems": shard_elems, "n_workers": 0,
-                       "double_buffer": dbuf,
-                       "boundary_drops": drops_total})
-        sp.set(shards=ledger.n_shards, boundary_drops=drops_total,
+        shard_elems=shard_elems, n_workers=n_workers,
+    ) as sp, producer as records:
+        output, counters, extras = _stitch(stages, src, records, ledger,
+                                           row_elems, trace)
+        extras.update({"shard_elems": shard_elems, "n_workers": n_workers})
+        sp.set(shards=ledger.n_shards,
+               boundary_drops=extras["boundary_drops"],
                ledger_spins=ledger.n_spins)
     return PrimitiveResult(output=output, counters=counters,
                            device=stream.device, extras=extras)
 
 
-def _assemble(stages, src: DSSource, outputs, ledger: ShardLedger,
-              final_cat: str, final_extras: dict, final_in_total: int,
-              n_true_total: int, n_false_total: int,
-              row_elems: Optional[int]) -> Tuple[np.ndarray, dict]:
-    """Merge per-shard outputs (in shard order) and build final extras."""
-    extras = dict(final_extras)
+def _stitch(stages, src: DSSource, records: Iterable[ShardDone],
+            ledger: ShardLedger, row_elems: Optional[int],
+            trace) -> Tuple[np.ndarray, list, dict]:
+    """The one stitcher of both producers.
+
+    Takes each record as it arrives (in completion order under the
+    pool): publishes its count to ``ledger`` and resolves every
+    offset the lookback walk can, spinning on gaps exactly like a
+    work-group polling an unset flag, and traces the shard's stages.
+    Then builds the output, counters and extras in shard order.
+    """
+    final_cat = STREAMABLE_OPS[stages[-1][0].name]
+    tracer = _obs.active()
+    if tracer is not None:
+        # Producer stamps are perf_counter_ns; CLOCK_MONOTONIC is
+        # shared by forked workers, so one reference pair maps every
+        # stamp onto the tracer clock.
+        ref_us, ref_ns = tracer.now_us(), time.perf_counter_ns()
+        if trace is not None and hasattr(trace, "to_dict"):
+            trace = trace.to_dict()
+        trace_args = {}
+        if trace:
+            trace_args["trace_id"] = trace.get("trace_id")
+            if trace.get("parent_span_id"):
+                trace_args["parent_span_id"] = trace["parent_span_id"]
+    done: Dict[int, ShardDone] = {}
+    unresolved: List[int] = []
+    for rec in records:
+        k = rec.index
+        done[k] = rec
+        if k >= ledger.n_shards:  # an unsized source discovers shards
+            ledger.grow(k + 1 - ledger.n_shards)
+        count = (rec.result.final_extras.get("n_true", 0)
+                 if final_cat == "partition"
+                 else np.asarray(rec.result.output).size)
+        ledger.publish(k, int(count))
+        unresolved.append(k)
+        unresolved = [i for i in unresolved
+                      if ledger.try_resolve(i) is None]
+        if tracer is not None:
+            args = {"shard": k, "n_elems": rec.n_elems, **trace_args}
+            if rec.worker is not None:
+                args["worker"] = rec.worker
+            t = [ref_us + (t_ns - ref_ns) / 1e3 for t_ns in rec.t_ns]
+            for i, stage in enumerate(("load", "compute", "store")):
+                tracer.add_span(f"stream.{stage}", track=f"shard:{k}",
+                                cat="stream", start_us=t[i],
+                                end_us=t[i + 1], args=args)
+
+    order = [done[k] for k in sorted(done)]
+    counters = [c for rec in order for c in rec.result.counters]
+    extras = dict(order[-1].result.final_extras) if order else {}
+    parts = [rec.result.output for rec in order]
     if final_cat == "partition":
-        trues = [t for t, _ in outputs]
-        falses = [f for _, f in outputs]
-        parts = trues + falses
+        n_true = [int(rec.result.final_extras.get("n_true", 0))
+                  for rec in order]
+        parts = ([p[:nt] for p, nt in zip(parts, n_true)]
+                 + [p[nt:] for p, nt in zip(parts, n_true)])
+        extras.update({"n_true": sum(n_true), "n_false": sum(
+            int(rec.result.final_extras.get("n_false", 0))
+            for rec in order)})
+    if final_cat in ("pad", "unpad"):
+        output = (np.vstack(parts) if parts else np.empty(
+            (0, _out_cols(stages, row_elems)), dtype=src.dtype))
+        extras["rows"] = int(output.shape[0])
+    else:
         output = (np.concatenate(parts) if parts
                   else np.empty(0, dtype=src.dtype))
-        extras.update({"n_true": n_true_total, "n_false": n_false_total})
-        return output, extras
-    if final_cat in ("pad", "unpad"):
-        if outputs:
-            output = np.vstack(outputs)
-        else:
-            desc, args, _ = stages[0]
-            delta = int(args[0])
-            cols = int(src.shape[1])
-            out_cols = cols + delta if final_cat == "pad" else cols - delta
-            output = np.empty((0, out_cols), dtype=src.dtype)
-        extras.update({"rows": int(output.shape[0])})
-        return output, extras
-    output = (np.concatenate(outputs) if outputs
-              else np.empty(0, dtype=src.dtype))
-    total = ledger.total()
-    extras.update({"n_kept": int(total),
-                   "n_removed": int(final_in_total - total)})
-    return output, extras
+    if final_cat in ("filter", "unique"):
+        total = ledger.total()
+        n_in = sum(rec.result.n_final_in for rec in order)
+        extras.update({"n_kept": int(total),
+                       "n_removed": int(n_in - total)})
+    extras.update({"streamed": True, "shards": ledger.n_shards,
+                   "boundary_drops": sum(rec.result.drops for rec in order)})
+    return output, counters, extras

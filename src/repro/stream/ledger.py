@@ -23,8 +23,10 @@ of :mod:`repro.collectives.lookback` (LightScan), reusing its
 * once resolved, the prefix is published, unblocking every later shard
   in one step.
 
-The ledger is thread-safe (the single-process engine and the pool's
-stitcher both drive it), and :meth:`LookbackScanSim`-style
+The streaming engine's one stitcher drives it for both execution
+modes, publishing shards in the order they finish (ascending
+in-process, completion order under the worker pool); it is also
+thread-safe, and :meth:`LookbackScanSim`-style
 ``publish``/``try_resolve`` naming keeps the correspondence with the
 in-kernel state machine explicit.
 """

@@ -1,29 +1,31 @@
 """The worker pool: one shard per process, shared-memory NumPy buffers.
 
-``pool_run`` scales the streaming engine horizontally: *N* forked
-worker processes each pull shard tasks from a queue, read their input
-slice directly from the source's backing store (a memmap reopened by
-path, or a ``multiprocessing.shared_memory`` segment attached by
-name — in-core arrays are staged into a scratch segment first, so **no
-element data ever crosses a pickle boundary**), run the ordinary DS
-chain via :func:`~repro.stream.engine.run_shard_chain`, and write the
-shard's output into a shared output region.
+:func:`pool_shards` is the pooled producer of the streaming engine's
+one shard loop (:func:`~repro.stream.engine.stream_run` with
+``workers > 0``): *N* forked worker processes each pull shard tasks
+from a queue, read their input slice directly from the source's
+backing store (a memmap reopened by path, or a
+``multiprocessing.shared_memory`` segment attached by name — in-core
+arrays are staged into a scratch segment first, so **no element data
+ever crosses a pickle boundary**), run the ordinary DS chain via
+:func:`~repro.stream.engine.run_shard_chain`, and write the shard's
+output into a shared output region.
 
-Workers finish out of order; the parent stitches with the same
-protocol the sequential engine uses: each completed shard *publishes*
-its kept count to the :class:`~repro.stream.ledger.ShardLedger` and the
-parent resolves offsets through the decoupled-lookback walk (spins on
-unpublished predecessors are recorded, exercising the genuinely
-out-of-order schedule the state machine exists for).  ``unique`` as
-the final stage is stitched by the value-equality boundary rule —
+Workers finish out of order; each finished shard reaches the engine's
+stitcher as a :class:`~repro.stream.engine.ShardDone` record whose
+output is a view of the shared region, in completion order, so the
+stitcher's ledger walk spins on the genuinely out-of-order schedule
+the decoupled-lookback state machine exists for.  ``unique`` as the
+final stage is the exception: its value-equality boundary rule —
 shard *k*'s first output element is dropped iff its stage-input first
 element equals the nearest non-empty predecessor's stage-input last
-element — applied in ascending shard order *before* counts publish.
+element — is applied here, in ascending shard order, before those
+shards are handed on.
 
 Fork start method is required: the chain's predicate closures
 (:class:`~repro.core.predicates.Predicate` wraps lambdas) ride into the
 children as inherited memory, not pickled ``Process`` args.  Platforms
-without ``fork`` fall back to the sequential path (the engine warns).
+without ``fork`` fall back to the in-process loop (the engine warns).
 
 The output region is sized from the input extent: every streamable
 shrink op writes at most its shard's input length, and pad/unpad map
@@ -35,25 +37,25 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs as _obs
 from repro.config import DSConfig
 from repro.errors import ReproError
-from repro.primitives.common import PrimitiveResult, primitive_span
 from repro.simgpu.stream import Stream
-from repro.stream.ledger import ShardLedger
-from repro.stream.plan import Shard, plan_shards
-from repro.stream.source import (
-    ArraySource,
-    DSSource,
-    MemmapSource,
-    SharedMemorySource,
+from repro.stream.engine import (
+    STREAMABLE_OPS,
+    ShardDone,
+    _out_cols,
+    run_shard_chain,
 )
+from repro.stream.plan import Shard
+from repro.stream.source import DSSource, MemmapSource, SharedMemorySource
 
-__all__ = ["pool_run", "fork_unavailable_reason", "input_descriptor",
+__all__ = ["pool_shards", "fork_unavailable_reason", "input_descriptor",
            "attach_input"]
 
 
@@ -126,28 +128,19 @@ def _out_layout(stages, source: DSSource, shards: List[Shard],
     Shrink ops write at most their input extent, so shard *k*'s region
     is simply ``[lo, hi)``; pad/unpad map row counts affinely.
     """
-    from repro.stream.engine import STREAMABLE_OPS
-
-    final_cat = STREAMABLE_OPS[stages[0][0].name]
-    if final_cat not in ("pad", "unpad"):
+    if row_elems is None:
         return int(source.n_elems), {s.index: s.lo for s in shards}
-    cols = int(row_elems)
-    delta = int(stages[0][1][0])
-    out_cols = cols + delta if final_cat == "pad" else cols - delta
-    offsets = {s.index: (s.lo // cols) * out_cols for s in shards}
-    total_rows = int(source.n_elems) // cols
-    return total_rows * out_cols, offsets
+    out_cols = _out_cols(stages, row_elems)
+    offsets = {s.index: (s.lo // row_elems) * out_cols for s in shards}
+    return int(source.n_elems) // row_elems * out_cols, offsets
 
 
 def _worker_main(worker_id, stages, in_desc, out_name, out_dtype,
-                 row_elems, config, device, task_q, result_q,
-                 trace=None) -> None:
-    """One forked worker: pull shard tasks until the ``None`` sentinel.
-
-    ``trace`` is the distributed trace context (dict form) inherited
-    through the fork handoff; it is echoed in every shard result so the
-    parent's per-shard spans carry the originating request's
-    ``trace_id``/``parent_span_id``."""
+                 row_elems, config, device, task_q, result_q) -> None:
+    """One forked worker: pull shard tasks until the ``None`` sentinel,
+    answering each with its output length, its chain result (without
+    the output, whose bytes are in the shared region) and its stage
+    stamps."""
     from multiprocessing import shared_memory
 
     try:
@@ -160,7 +153,6 @@ def _worker_main(worker_id, stages, in_desc, out_name, out_dtype,
     except BaseException as exc:
         result_q.put(("fatal", worker_id, repr(exc)))
         return
-    from repro.stream.engine import run_shard_chain
 
     while True:
         task = task_q.get()
@@ -173,240 +165,113 @@ def _worker_main(worker_id, stages, in_desc, out_name, out_dtype,
             if row_elems is not None:
                 arr = arr.reshape(-1, row_elems)
             t1 = time.perf_counter_ns()
-            res = run_shard_chain(stages, arr, stream, config,
-                                  carries=None)
+            res = run_shard_chain(stages, arr, stream, config)
             t2 = time.perf_counter_ns()
             out = np.asarray(res.output).reshape(-1)
             out_arr[out_lo:out_lo + out.size] = out
             t3 = time.perf_counter_ns()
-            result_q.put(("ok", k, {
-                "n_out": int(out.size),
-                "n_final_in": res.n_final_in,
-                "final_extras": res.final_extras,
-                "edges": res.edges,
-                "counters": res.counters,
-                "t_ns": (t0, t1, t2, t3),
-                "worker": worker_id,
-                "trace": trace,
-            }))
+            result_q.put(("ok", k, (worker_id, int(out.size),
+                                    replace(res, output=None),
+                                    (t0, t1, t2, t3))))
         except BaseException as exc:
             result_q.put(("error", k, repr(exc)))
 
 
-def pool_run(stages, source: DSSource, *, stream, config: DSConfig,
-             n_workers: int, shard_elems: int,
-             trace=None) -> PrimitiveResult:
-    """Stream the chain over ``source`` with forked shard workers.
+@contextmanager
+def pool_shards(stages, source: DSSource, shards: List[Shard], *,
+                stream, config: DSConfig, n_workers: int,
+                row_elems: Optional[int]) -> Iterator[Iterator[ShardDone]]:
+    """Fork ``n_workers`` processes over ``shards``; the ``with`` block
+    receives an iterator of their :class:`ShardDone` records.
 
     Preconditions (enforced by :func:`~repro.stream.engine.stream_run`):
     the chain is streamable, pool-compatible (``unique`` final-only),
-    the source is sized, and ``fork`` is available.  ``trace`` (a
-    :class:`~repro.obs.distrib.TraceContext` or its dict form) rides
-    the fork handoff so the per-shard spans this run emits carry the
-    originating request's trace identity.
+    the source is sized and ``fork`` is available.  The records'
+    outputs are views of the shared output region, so they are valid
+    until the block exits; the segments are unlinked on exit.
     """
-    if trace is not None and hasattr(trace, "to_dict"):
-        trace = trace.to_dict()
-    from repro.stream.engine import STREAMABLE_OPS, _row_elems, \
-        _sequential_run
-
-    row_elems = _row_elems(stages, source)
-    shards = plan_shards(int(source.n_elems), shard_elems,
-                         row_elems=row_elems)
-    if len(shards) <= 1:
-        # One shard cannot amortize a fork; the sequential engine is
-        # byte-identical and still emits the per-shard spans.
-        result = _sequential_run(stages, source, stream, config,
-                                 shard_elems, False)
-        result.extras["n_workers"] = int(n_workers)
-        return result
-    n_workers = min(int(n_workers), len(shards))
-    final_cat = STREAMABLE_OPS[stages[-1][0].name]
-    tracer = _obs.active()
-    # Reference pair mapping worker perf_counter_ns timestamps onto the
-    # tracer's microsecond clock (CLOCK_MONOTONIC is process-shared on
-    # Linux, and fork inherits the same epoch).
-    ref_us = tracer.now_us() if tracer is not None else 0.0
-    ref_ns = time.perf_counter_ns()
-
     from multiprocessing import shared_memory
 
     ctx = multiprocessing.get_context("fork")
-    in_desc, scratch = _input_descriptor(source)
     out_total, out_offsets = _out_layout(stages, source, shards, row_elems)
     out_dtype = np.dtype(source.dtype)
-    out_shm = shared_memory.SharedMemory(
-        create=True, size=max(1, out_total * out_dtype.itemsize))
-    out_arr = np.ndarray((out_total,), dtype=out_dtype, buffer=out_shm.buf)
-    task_q = ctx.Queue()
-    result_q = ctx.Queue()
-    procs = []
+    procs: list = []
+    scratch = out_shm = None
     try:
-        with primitive_span(
-            "stream.run", backend=config.backend,
-            ops="+".join(d.short for d, _, _ in stages),
-            shard_elems=shard_elems, n_workers=n_workers,
-            double_buffer=False,
-        ) as sp:
-            for w in range(n_workers):
-                p = ctx.Process(
-                    target=_worker_main,
-                    args=(w, stages, in_desc, out_shm.name, str(out_dtype),
-                          row_elems, config, stream.device, task_q,
-                          result_q, trace),
-                    daemon=True)
-                p.start()
-                procs.append(p)
-            for s in shards:
-                task_q.put((s.index, s.lo, s.hi, out_offsets[s.index]))
-            for _ in procs:
-                task_q.put(None)
-
-            ledger = ShardLedger(len(shards))
-            results: Dict[int, dict] = {}
-            unresolved: List[int] = []
-            while len(results) < len(shards):
-                status, k, payload = result_q.get()
-                if status == "fatal":
-                    raise ReproError(
-                        f"stream worker {k} failed to start: {payload}")
-                if status == "error":
-                    raise ReproError(f"shard {k} failed: {payload}")
-                results[k] = payload
-                if final_cat != "unique":
-                    # Publish in completion (i.e. arbitrary) order; the
-                    # lookback walk resolves what it can and spins on
-                    # gaps exactly like a work-group polling an unset
-                    # flag.
-                    count = (int(payload["final_extras"].get("n_true", 0))
-                             if final_cat == "partition"
-                             else payload["n_out"])
-                    ledger.publish(k, count)
-                    unresolved.append(k)
-                    unresolved = [i for i in unresolved
-                                  if ledger.try_resolve(i) is None]
-
-            drops_total = 0
-            starts = {k: out_offsets[k] for k in results}
-            counts = {k: results[k]["n_out"] for k in results}
-            if final_cat == "unique":
-                stage_idx = len(stages) - 1
-                prev_last = None
-                for k in sorted(results):
-                    edge = results[k]["edges"].get(stage_idx)
-                    if edge is None:
-                        ledger.publish(k, counts[k])
-                        continue
-                    first, last = edge
-                    if (prev_last is not None and counts[k]
-                            and first == prev_last):
-                        starts[k] += 1
-                        counts[k] -= 1
-                        drops_total += 1
-                    prev_last = last
-                    ledger.publish(k, counts[k])
-
-            output, extras = _stitch(stages, source, results, ledger,
-                                     final_cat, out_arr, starts, counts,
-                                     row_elems)
-            counters: list = []
-            for k in sorted(results):
-                counters.extend(results[k]["counters"])
-            final_in_total = sum(r["n_final_in"] for r in results.values())
-            if final_cat == "partition":
-                extras["n_true"] = sum(
-                    int(r["final_extras"].get("n_true", 0))
-                    for r in results.values())
-                extras["n_false"] = sum(
-                    int(r["final_extras"].get("n_false", 0))
-                    for r in results.values())
-            elif final_cat in ("filter", "unique"):
-                total = ledger.total()
-                extras["n_kept"] = int(total)
-                extras["n_removed"] = int(final_in_total - total)
-            extras.update({"streamed": True, "shards": len(shards),
-                           "shard_elems": int(shard_elems),
-                           "n_workers": n_workers,
-                           "double_buffer": False,
-                           "boundary_drops": drops_total})
-            if tracer is not None:
-                _emit_pool_spans(tracer, results, ref_us, ref_ns)
-            sp.set(shards=len(shards), boundary_drops=drops_total,
-                   ledger_spins=ledger.n_spins)
-            return PrimitiveResult(output=output, counters=counters,
-                                   device=stream.device, extras=extras)
+        in_desc, scratch = _input_descriptor(source)
+        out_shm = shared_memory.SharedMemory(
+            create=True, size=max(1, out_total * out_dtype.itemsize))
+        out_arr = np.ndarray((out_total,), dtype=out_dtype,
+                             buffer=out_shm.buf)
+        task_q = ctx.Queue()
+        result_q = ctx.Queue()
+        for w in range(n_workers):
+            p = ctx.Process(
+                target=_worker_main,
+                args=(w, stages, in_desc, out_shm.name, str(out_dtype),
+                      row_elems, config, stream.device, task_q, result_q),
+                daemon=True)
+            p.start()
+            procs.append(p)
+        for s in shards:
+            task_q.put((s.index, s.lo, s.hi, out_offsets[s.index]))
+        for _ in procs:
+            task_q.put(None)
+        last = len(stages) - 1
+        final_unique = (last if STREAMABLE_OPS[stages[last][0].name]
+                        == "unique" else None)
+        out_cols = None if row_elems is None else _out_cols(stages,
+                                                             row_elems)
+        yield _records(result_q, shards, out_arr, out_offsets, out_cols,
+                       final_unique)
     finally:
         for p in procs:
             p.join(timeout=30)
             if p.is_alive():  # pragma: no cover - hung worker
                 p.terminate()
-        out_shm.close()
-        out_shm.unlink()
-        if scratch is not None:
-            scratch.close()
-            scratch.unlink()
+        for shm in (out_shm, scratch):
+            if shm is not None:
+                shm.close()
+                shm.unlink()
 
 
-def _stitch(stages, source, results, ledger: ShardLedger, final_cat: str,
-            out_arr: np.ndarray, starts: Dict[int, int],
-            counts: Dict[int, int], row_elems) -> Tuple[np.ndarray, dict]:
-    """Assemble the final output from the shared region, placing each
-    shard at its ledger-resolved offset."""
-    order = sorted(results)
-    extras = dict(results[order[-1]]["final_extras"]) if order else {}
-    if final_cat == "partition":
-        trues = [out_arr[starts[k]:
-                         starts[k] + int(results[k]["final_extras"]
-                                         .get("n_true", 0))].copy()
-                 for k in order]
-        falses = [out_arr[starts[k] + int(results[k]["final_extras"]
-                                          .get("n_true", 0)):
-                          starts[k] + counts[k]].copy()
-                  for k in order]
-        parts = trues + falses
-        output = (np.concatenate(parts) if parts
-                  else np.empty(0, dtype=source.dtype))
-        return output, extras
-    if final_cat in ("pad", "unpad"):
-        delta = int(stages[0][1][0])
-        cols = int(row_elems)
-        out_cols = cols + delta if final_cat == "pad" else cols - delta
-        output = np.asarray(out_arr).reshape(-1, out_cols).copy()
-        extras["rows"] = int(output.shape[0])
-        return output, extras
-    total = ledger.total()
-    output = np.empty(total, dtype=source.dtype)
-    for k in order:
-        off = ledger.resolve(k)
-        output[off:off + counts[k]] = out_arr[starts[k]:
-                                              starts[k] + counts[k]]
-    return output, extras
-
-
-def _emit_pool_spans(tracer, results: Dict[int, dict], ref_us: float,
-                     ref_ns: int) -> None:
-    """Per-shard load/compute/store spans from the workers' measured
-    timestamps, mapped onto the tracer clock and emitted from the main
-    thread (the tracer's span stacks are not thread-safe; add_span with
-    explicit timestamps bypasses them)."""
-
-    def us(t_ns: int) -> float:
-        return ref_us + (t_ns - ref_ns) / 1e3
-
-    for k in sorted(results):
-        t0, t1, t2, t3 = results[k]["t_ns"]
-        track = f"shard:{k}"
-        args = {"shard": k, "worker": results[k]["worker"]}
-        trace = results[k].get("trace")
-        if trace:
-            # The context the worker echoed back through the fork
-            # handoff: ties these shard spans to the fleet request.
-            args["trace_id"] = trace.get("trace_id")
-            if trace.get("parent_span_id"):
-                args["parent_span_id"] = trace["parent_span_id"]
-        tracer.add_span("stream.load", track=track, cat="stream",
-                        start_us=us(t0), end_us=us(t1), args=args)
-        tracer.add_span("stream.compute", track=track, cat="stream",
-                        start_us=us(t1), end_us=us(t2), args=args)
-        tracer.add_span("stream.store", track=track, cat="stream",
-                        start_us=us(t2), end_us=us(t3), args=args)
+def _records(result_q, shards: List[Shard], out_arr: np.ndarray,
+             out_offsets: Dict[int, int], out_cols: Optional[int],
+             final_unique: Optional[int]) -> Iterator[ShardDone]:
+    """Workers' results as :class:`ShardDone` records, in completion
+    order — except under a final ``unique`` (stage ``final_unique``),
+    whose boundary drop needs the predecessor's edge: those records
+    are held back until every lower shard has arrived, then released
+    in ascending order with the drop applied."""
+    held: Dict[int, ShardDone] = {}
+    next_k = 0
+    prev_last = None
+    for _ in shards:
+        status, k, payload = result_q.get()
+        if status == "fatal":
+            raise ReproError(f"stream worker {k} failed to start: {payload}")
+        if status == "error":
+            raise ReproError(f"shard {k} failed: {payload}")
+        worker, n_out, result, t_ns = payload
+        lo = out_offsets[k]
+        result.output = out_arr[lo:lo + n_out]
+        if out_cols is not None:
+            result.output = result.output.reshape(-1, out_cols)
+        rec = ShardDone(k, shards[k].n_elems, result, t_ns, worker)
+        if final_unique is None:
+            yield rec
+            continue
+        held[k] = rec
+        while next_k in held:
+            rec = held.pop(next_k)
+            next_k += 1
+            result = rec.result
+            edge = result.edges.get(final_unique)
+            if edge is not None:
+                first, last = edge
+                if (prev_last is not None and result.output.size
+                        and first == prev_last):
+                    result.output = result.output[1:]
+                    result.drops += 1
+                prev_last = last
+            yield rec

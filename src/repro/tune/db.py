@@ -80,10 +80,10 @@ def _batch_key(ops, array, config, backend: Optional[str]) -> tuple:
     if ops and isinstance(ops[0], OpStage):
         stages = ops
     else:
-        from repro.serve.server import _chain_spec
+        from repro.stream.engine import normalize_chain
 
         stages = [OpStage(desc, args, kwargs)
-                  for desc, args, kwargs in _chain_spec(ops)]
+                  for desc, args, kwargs in normalize_chain(ops)]
     norm = normalize_config(config, backend)
     return make_batch_key(stages, array, norm, norm.backend)
 

@@ -39,8 +39,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.engine import Pipeline
 from repro.pipeline.plan import PlanCache
 from repro.primitives.common import DEFAULT_DEVICE
-from repro.serve.server import _chain_spec
 from repro.simgpu.stream import Stream
+from repro.stream.engine import normalize_chain
 from repro.tune.db import KERNEL_CONFIG_KNOBS, TuningDB, kernel_key, serve_key
 from repro.tune.objective import (
     ServeScore,
@@ -247,7 +247,7 @@ def tune_kernel(
         base = base.replace(backend=backend)
     resolved = base.resolved_backend()
     base = base.replace(backend=resolved)
-    spec = _chain_spec(list(ops) if not isinstance(ops, str) else [ops])
+    spec = normalize_chain(ops)
     array = np.asarray(array)
     key = kernel_key(ops, array, base, resolved)
     rec = _TrialRecorder("kernel", metrics, flight)

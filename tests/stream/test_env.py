@@ -1,16 +1,14 @@
 """The ``REPRO_SHARD_*`` environment knobs.
 
-Both config front doors (:meth:`DSConfig.from_env` and
-:meth:`ServeConfig.from_env`) must accept the shard knobs and reject
-malformed values with an error *naming the variable* — an operator
-reading the traceback should know which knob to fix without opening
-the source.
+:meth:`DSConfig.from_env` — the only reader of the shard knobs — must
+accept them and reject malformed values with an error *naming the
+variable*: an operator reading the traceback should know which knob to
+fix without opening the source.
 """
 
 import pytest
 
 from repro import DSConfig
-from repro.serve import ServeConfig
 
 
 class TestDSConfigShardKnobs:
@@ -18,17 +16,14 @@ class TestDSConfigShardKnobs:
         cfg = DSConfig.from_env(environ={})
         assert cfg.shard_elems == DSConfig().shard_elems
         assert cfg.shard_workers == 0
-        assert cfg.double_buffer is True
 
     def test_valid_values(self):
         cfg = DSConfig.from_env(environ={
             "REPRO_SHARD_ELEMS": "4096",
             "REPRO_SHARD_WORKERS": "3",
-            "REPRO_SHARD_DOUBLE_BUFFER": "0",
         })
         assert cfg.shard_elems == 4096
         assert cfg.shard_workers == 3
-        assert cfg.double_buffer is False
 
     def test_non_integer_elems_names_variable(self):
         with pytest.raises(ValueError, match="REPRO_SHARD_ELEMS"):
@@ -42,28 +37,11 @@ class TestDSConfigShardKnobs:
         with pytest.raises(ValueError, match="REPRO_SHARD_WORKERS"):
             DSConfig.from_env(environ={"REPRO_SHARD_WORKERS": "-1"})
 
-    def test_bad_bool_names_variable(self):
-        with pytest.raises(ValueError, match="REPRO_SHARD_DOUBLE_BUFFER"):
-            DSConfig.from_env(
-                environ={"REPRO_SHARD_DOUBLE_BUFFER": "maybe"})
+    def test_non_integer_workers_names_variable(self):
+        with pytest.raises(ValueError, match="REPRO_SHARD_WORKERS"):
+            DSConfig.from_env(environ={"REPRO_SHARD_WORKERS": "two"})
 
     def test_whitespace_is_unset(self):
         cfg = DSConfig.from_env(environ={"REPRO_SHARD_ELEMS": "  "})
         assert cfg.shard_elems == DSConfig().shard_elems
 
-
-class TestServeConfigShardKnobs:
-    def test_shard_workers_accepted(self):
-        cfg = ServeConfig.from_env(environ={"REPRO_SHARD_WORKERS": "2"})
-        assert cfg.shard_workers == 2
-
-    def test_default_zero(self):
-        assert ServeConfig.from_env(environ={}).shard_workers == 0
-
-    def test_non_integer_names_variable(self):
-        with pytest.raises(ValueError, match="REPRO_SHARD_WORKERS"):
-            ServeConfig.from_env(environ={"REPRO_SHARD_WORKERS": "two"})
-
-    def test_negative_names_variable(self):
-        with pytest.raises(ValueError, match="REPRO_SHARD_WORKERS"):
-            ServeConfig.from_env(environ={"REPRO_SHARD_WORKERS": "-2"})

@@ -119,8 +119,9 @@ class TestServeFrontDoor:
                    if issubclass(w.category, DeprecationWarning))
 
     def test_serveconfig_shard_workers_applies(self, data, mm):
-        cfg = ServeConfig(max_wait_ms=1.0, num_workers=1, shard_workers=2)
-        with Server(cfg, ds_config=_cfg()) as srv:
+        # A streamed request takes its pool size from its DSConfig.
+        cfg = ServeConfig(max_wait_ms=1.0, num_workers=1)
+        with Server(cfg, ds_config=_cfg(shard_workers=2)) as srv:
             res = srv.submit("compact", mm, 0.0).result(timeout=30.0)
         np.testing.assert_array_equal(res.output, data[data != 0.0])
         assert res.extras["n_workers"] == 2
