@@ -14,9 +14,13 @@ worker that is about to be needed again.
 
 The two directions read different signals on purpose:
 
-* **up** looks at *instantaneous pressure* — mean queue depth per
-  worker and the fleet p95 — because backlog and tail latency are what
-  an under-provisioned pool shows;
+* **up** looks at *instantaneous pressure* — mean in-flight requests
+  per worker and the fleet p95 — because backlog and tail latency are
+  what an under-provisioned pool shows.  The backlog is ``inflight``
+  (admitted, not finished), not ``queue_depth``: by the time a tick's
+  stats probe is answered, the batcher has already grouped a burst into
+  batches, so the burst shows up as in-flight work while the ungrouped
+  queue reads near zero;
 * **down** looks at *work rate* — completions since the previous tick
   (a counter delta, because cumulative histograms never fall) plus a
   shallow queue — because an over-provisioned pool shows idleness, not
@@ -68,7 +72,7 @@ class Autoscaler:
         cfg = self.config
         decision: Optional[str] = None
         pressured = (
-            snap.queue_depth >= cfg.queue_high * max(1, snap.n_workers)
+            snap.inflight >= cfg.queue_high * max(1, snap.n_workers)
             or snap.p95_ms >= cfg.p95_high_ms)
         idle = (snap.completed_delta <= 0
                 and snap.queue_depth <= cfg.queue_low

@@ -14,11 +14,12 @@ The knobs fall into four groups:
   assigned more than ``ceil(load_factor * keys / workers)`` route
   keys, which is what makes the ``--check`` skew bound a guarantee
   rather than a hope);
-* **autoscaling policy** — scale *up* when per-worker queue depth or
-  fleet p95 latency stays above ``queue_high`` / ``p95_high_ms`` for
-  ``up_after`` consecutive ticks; scale *down* after ``down_after``
-  idle ticks (no completions, shallow queues); both sides then hold
-  for ``cooldown_ticks`` so one burst cannot flap the pool;
+* **autoscaling policy** — scale *up* when per-worker in-flight
+  requests or fleet p95 latency stay above ``queue_high`` /
+  ``p95_high_ms`` for ``up_after`` consecutive ticks; scale *down*
+  after ``down_after`` idle ticks (no completions, shallow queues);
+  both sides then hold for ``cooldown_ticks`` so one burst cannot flap
+  the pool;
 * **lifecycle** — ``drain_timeout_s`` bounds a graceful worker drain,
   ``tick_interval_s`` paces the background autoscaler thread (``0``
   disables the thread; :meth:`repro.fleet.Fleet.autoscale_tick` still
@@ -58,7 +59,8 @@ class FleetConfig:
         Bounded-loads cap: a worker never holds more than
         ``ceil(load_factor * total_keys / n_workers)`` route keys.
     queue_high:
-        Per-worker mean queue depth that counts as scale-up pressure.
+        Per-worker mean in-flight requests (admitted, not finished)
+        that count as scale-up pressure.
     queue_low:
         Fleet-wide queue depth at or below which a tick can count as
         idle (scale-down evidence).
@@ -87,17 +89,13 @@ class FleetConfig:
     trace:
         Distributed-tracing mode: ``"off"`` (default — zero overhead),
         ``"spans"`` or ``"full"``.  When on, every worker installs a
-        tracer sharing the worker clock epoch whose spans land in its
-        server's flight recorder, trace contexts ride the transport,
-        the router synthesizes ``serve.request``/``route``/
+        tracer on the process clock it inherited at fork, whose spans
+        land in its server's flight recorder, trace contexts ride the
+        transport, the router synthesizes ``serve.request``/``route``/
         ``transport``/``worker``/``response`` spans per request, and
         :meth:`~repro.fleet.Fleet.dump_trace` can merge it all into one
-        clock-aligned Chrome trace.  The rings hold
-        ``serve.flight_capacity`` spans each, so tracing needs a
-        non-zero ``serve.flight_capacity``.
-    clock_sync_samples:
-        Rounds of the NTP-style clock handshake run at worker spawn
-        (and autoscaler grow); the min-RTT sample wins.
+        Chrome trace.  The rings hold ``serve.flight_capacity`` spans
+        each, so tracing needs a non-zero ``serve.flight_capacity``.
     serve:
         The per-worker :class:`~repro.serve.config.ServeConfig`.
     """
@@ -118,7 +116,6 @@ class FleetConfig:
     request_timeout_s: float = 60.0
     incident_dir: Optional[str] = None
     trace: str = "off"
-    clock_sync_samples: int = 5
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
@@ -157,8 +154,6 @@ class FleetConfig:
                 f"FleetConfig.trace={self.trace!r} keeps spans in the "
                 "workers' flight recorders, which "
                 "serve.flight_capacity=0 disables")
-        check_positive(self, "clock_sync_samples",
-                       int(self.clock_sync_samples))
 
     def replace(self, **changes) -> "FleetConfig":
         """A copy with ``changes`` applied (the frozen-dataclass idiom)."""
@@ -175,9 +170,9 @@ class FleetConfig:
         ``REPRO_FLEET_UP_AFTER``, ``REPRO_FLEET_DOWN_AFTER``,
         ``REPRO_FLEET_COOLDOWN_TICKS``, ``REPRO_FLEET_TICK_S``,
         ``REPRO_FLEET_DRAIN_TIMEOUT_S``, ``REPRO_FLEET_REQUEST_TIMEOUT_S``,
-        ``REPRO_FLEET_INCIDENT_DIR``, ``REPRO_FLEET_TRACE`` and
-        ``REPRO_FLEET_CLOCK_SAMPLES``; the embedded worker config
-        comes from :meth:`ServeConfig.from_env` (``REPRO_SERVE_*``).
+        ``REPRO_FLEET_INCIDENT_DIR`` and ``REPRO_FLEET_TRACE``; the
+        embedded worker config comes from :meth:`ServeConfig.from_env`
+        (``REPRO_SERVE_*``).
         Malformed values raise :class:`ValueError` naming the variable.
         """
         return config_from_env(cls, _ENV_TABLE, environ,
@@ -201,7 +196,6 @@ _ENV_TABLE: EnvTable = (
     ("REPRO_FLEET_REQUEST_TIMEOUT_S", "request_timeout_s", env_float),
     ("REPRO_FLEET_INCIDENT_DIR", "incident_dir", str),
     ("REPRO_FLEET_TRACE", "trace", str),
-    ("REPRO_FLEET_CLOCK_SAMPLES", "clock_sync_samples", env_int),
 )
 
 DEFAULT_FLEET_CONFIG = FleetConfig()

@@ -35,13 +35,14 @@ manually.
 **Distributed tracing** (``FleetConfig.trace != "off"``): every request
 gets a :class:`~repro.obs.distrib.TraceContext` riding the transport
 ``meta``, every worker's flight-recorder ring holds its spans for the
-front door to collect (on drain and on demand), worker clocks are
-calibrated against the router's with an NTP-style handshake at spawn
-and on every autoscaler grow, and :meth:`Fleet.dump_trace` merges it
-all into one clock-aligned Chrome trace — the router synthesizing
-per-request ``serve.request`` → ``route``/``transport``/``worker``/
-``response`` spans from its own timestamps plus the worker's response
-timing.  On breaker/SLO/deadline triggers (worker incident dumps
+front door to collect (on drain and on demand), and
+:meth:`Fleet.dump_trace` merges it all into one Chrome trace — the
+router synthesizing per-request ``serve.request`` → ``route``/
+``transport``/``worker``/``response`` spans from its own timestamps
+plus the worker's response timing.  Router and workers stamp the one
+process clock (:func:`repro.obs.tracer.now_us`), whose epoch the forked
+workers inherit, so no offset is measured or applied.  On
+breaker/SLO/deadline triggers (worker incident dumps
 escalate through the outbox; request timeouts fire router-side) the
 fleet gathers every worker's flight ring plus router context into
 **one** fleet-wide ``incident-*/`` bundle, written by the router's own
@@ -69,10 +70,11 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.hashring import HashRing
 from repro.fleet.transport import freeze_ops, fetch_result, stage_payload
 from repro.fleet.worker import worker_main
-from repro.obs.distrib import ClockSync, calibrate, merge_fleet_trace
+from repro.futures import Future
+from repro.obs.distrib import merge_fleet_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.rollup import fleet_p95_ms, merge_server_stats
-from repro.obs.tracer import new_span_id, new_trace_id
+from repro.obs.tracer import new_span_id, new_trace_id, now_us
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
 from repro.serve.request import OpStage, make_batch_key
 from repro.stream.engine import normalize_chain
@@ -82,8 +84,9 @@ from repro.stream.source import as_source
 __all__ = ["Fleet", "FleetFuture"]
 
 
-class FleetFuture:
-    """Client handle to one fleet request's eventual result."""
+class FleetFuture(Future):
+    """Client handle to one fleet request's eventual result; implements
+    the unified :class:`repro.Future` contract."""
 
     __slots__ = ("request_id", "worker_id", "_event", "_result", "_error",
                  "_default_timeout", "_on_timeout")
@@ -129,10 +132,6 @@ class FleetFuture:
         if self._error is not None:
             raise self._error
         return self._result
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.result().output
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._event.is_set() else "pending"
@@ -225,9 +224,6 @@ class Fleet:
         self._collector: Optional[threading.Thread] = None
         self._ticker: Optional[threading.Thread] = None
         # -- distributed tracing state --
-        # The router clock: microseconds since the Fleet was built, the
-        # timebase every worker clock is calibrated onto.
-        self._t0_ns = time.perf_counter_ns()
         self.tracing = self.config.trace != "off"
         # The router's ring holds the request spans it synthesizes (it
         # has no tracer, so it is never installed as a span sink) and
@@ -236,16 +232,11 @@ class Fleet:
             self.config.serve.flight_capacity,
             incident_dir=self.config.incident_dir or "incidents",
             cooldown_ms=self.config.serve.incident_cooldown_ms)
-        self._clock_syncs: Dict[str, ClockSync] = {}
         #: spans archived from drained/dead workers, so a merged trace
         #: survives the processes that produced it.
         self._dead_spans: Dict[str, List[dict]] = {}
         if autostart:
             self.start()
-
-    def now_us(self) -> float:
-        """Microseconds on the router clock (since Fleet construction)."""
-        return (time.perf_counter_ns() - self._t0_ns) / 1e3
 
     @property
     def fleet_incidents(self) -> List[Path]:
@@ -352,45 +343,7 @@ class Fleet:
                 self.scale_ups += 1
             prime_specs = self._prime_specs_locked(moved)
         self._prime_workers(prime_specs)
-        if self.tracing:
-            # Calibrate every worker, not just the new one: a grow is a
-            # natural re-calibration point (queue pressure just changed)
-            # and keeps long-lived offsets fresh.
-            self.calibrate_clocks()
         return worker_id
-
-    # -- clock calibration ----------------------------------------------
-
-    def _calibrate_worker(self, handle: _WorkerHandle) -> Optional[ClockSync]:
-        """NTP-style handshake: K clock probes over the control queues,
-        min-RTT sample wins (see :func:`repro.obs.distrib.calibrate`)."""
-        samples = []
-        for _ in range(self.config.clock_sync_samples):
-            waiter = self._register_waiter(next(self._token_ids))
-            t0 = self.now_us()
-            handle.inbox.put(("clock", waiter["token"], t0))
-            if not waiter["event"].wait(timeout=10.0):
-                return None
-            t3 = self.now_us()
-            payload = waiter["payload"]
-            if not payload:
-                return None
-            recv_us, send_us = payload
-            samples.append((t0, float(recv_us), float(send_us), t3))
-        return calibrate(samples)
-
-    def calibrate_clocks(self) -> Dict[str, ClockSync]:
-        """(Re-)measure every live worker's clock offset; returns the
-        sync per worker id.  Runs at spawn and on autoscaler grow."""
-        with self._lock:
-            handles = list(self._workers.values())
-        for handle in handles:
-            sync = self._calibrate_worker(handle)
-            if sync is not None:
-                with self._lock:
-                    self._clock_syncs[handle.worker_id] = sync
-        with self._lock:
-            return dict(self._clock_syncs)
 
     def drain(self, worker_id: Optional[str] = None, *,
               count_scale_event: bool = True) -> dict:
@@ -494,7 +447,7 @@ class Fleet:
                 "span_id": new_span_id(),
                 "request_id": rid,
                 "ops": "+".join(s.desc.short for s in stages),
-                "t_submit_us": self.now_us(),
+                "t_submit_us": now_us(),
                 "t_sent_us": None,
                 "worker_id": None,
             }
@@ -516,7 +469,7 @@ class Fleet:
             self._pending[rid] = _Pending(future, scratch, trace)
         if trace is not None:
             trace["worker_id"] = worker_id
-            trace["t_sent_us"] = self.now_us()
+            trace["t_sent_us"] = now_us()
             future._on_timeout = (
                 lambda bound, _rid=rid, _wid=worker_id:
                 self._gather_incident(
@@ -669,16 +622,12 @@ class Fleet:
 
     def dump_trace(self, path=None) -> dict:
         """Merge the router's request spans and every worker's span ring
-        into one clock-aligned Chrome trace document (written to
-        ``path`` when given).  Worker timestamps are shifted by their
-        calibrated :class:`~repro.obs.distrib.ClockSync` offsets, so one
-        request's ``serve.request`` (router) visually contains the
-        worker-side batch/kernel spans it caused."""
-        worker_spans = self.collect_spans()
-        with self._lock:
-            syncs = dict(self._clock_syncs)
-        return merge_fleet_trace(self.flight.span_dicts(), worker_spans,
-                                 clock_syncs=syncs, path=path)
+        into one Chrome trace document (written to ``path`` when given).
+        Every process stamps the one process clock, so one request's
+        ``serve.request`` (router) visually contains the worker-side
+        batch/kernel spans it caused."""
+        return merge_fleet_trace(self.flight.span_dicts(),
+                                 self.collect_spans(), path=path)
 
     def _emit_router_spans(self, trace: dict, timing: Optional[dict],
                            *, error: Optional[str] = None) -> None:
@@ -686,18 +635,14 @@ class Fleet:
         router's flight ring: a root ``serve.request`` spanning submit →
         response, with ``route`` / ``transport`` / ``worker`` /
         ``response`` children splitting the wall time.  Worker-side
-        timestamps come from the response's ``timing`` dict mapped onto
-        the router clock via the worker's calibrated offset, clamped
-        monotonically so calibration error can never produce a child
-        outside its parent."""
-        t_done = self.now_us()
+        timestamps come from the response's ``timing`` dict, stamped on
+        the same process clock as the router's own."""
+        t_done = now_us()
         rid = trace["request_id"]
         t_submit = trace["t_submit_us"]
         t_sent = trace["t_sent_us"]
         t_sent = t_submit if t_sent is None else t_sent
         track = f"serve:req{rid}"
-        with self._lock:
-            sync = self._clock_syncs.get(trace["worker_id"])
 
         def emit(name, start, end, span_id=None, **args):
             ts = round(start, 3)
@@ -717,15 +662,12 @@ class Fleet:
         child = {"trace_id": trace["trace_id"],
                  "parent_span_id": trace["span_id"]}
         emit("serve.route", t_submit, t_sent, **child)
-        if timing is not None and sync is not None:
-            recv_r = sync.to_router_us(float(timing["recv_us"]))
-            resp_r = sync.to_router_us(float(timing["respond_us"]))
-            recv_r = min(max(recv_r, t_sent), t_done)
-            resp_r = min(max(resp_r, recv_r), t_done)
-            emit("serve.transport", t_sent, recv_r, **child)
-            emit("serve.worker", recv_r, resp_r,
+        if timing is not None:
+            recv, resp = timing["recv_us"], timing["respond_us"]
+            emit("serve.transport", t_sent, recv, **child)
+            emit("serve.worker", recv, resp,
                  worker=trace["worker_id"], **child)
-            emit("serve.response", resp_r, t_done, **child)
+            emit("serve.response", resp, t_done, **child)
 
     def _gather_incident(self, trigger: str, reason: str, *,
                          source_worker: Optional[str] = None,
@@ -733,7 +675,7 @@ class Fleet:
                          ) -> Optional[Path]:
         """Gather a **fleet-wide** incident bundle: every worker's
         flight ring (spans + events + local bundle paths) plus the
-        router's context and the merged clock-aligned trace, written by
+        router's context and the merged trace, written by
         the router's flight recorder under its per-trigger cooldown."""
         if self.config.incident_dir is None or not self.flight.claim(trigger):
             return None
@@ -741,7 +683,6 @@ class Fleet:
         with self._lock:
             workers = {worker_id: {"spans": list(spans)}
                        for worker_id, spans in self._dead_spans.items()}
-            syncs = dict(self._clock_syncs)
         worker_meta: Dict[str, dict] = {}
         for worker_id in sorted(gathered):
             payload = gathered[worker_id] or {}
@@ -752,8 +693,6 @@ class Fleet:
             worker_meta[worker_id] = {
                 "incidents": payload.get("incidents") or [],
                 "n_spans": len(spans),
-                "clock_sync": (syncs[worker_id].to_dict()
-                               if worker_id in syncs else None),
             }
         return self.flight.dump(
             trigger, reason=reason, ds_config=self.ds_config,
@@ -765,7 +704,7 @@ class Fleet:
                 "scale": {"ups": self.scale_ups,
                           "downs": self.scale_downs},
             },
-            workers=workers, clock_syncs=syncs, scope="fleet",
+            workers=workers, scope="fleet",
             source_worker=source_worker, worker_bundle=worker_bundle)
 
     def stats(self) -> dict:
@@ -787,8 +726,6 @@ class Fleet:
             trace = {
                 "mode": self.config.trace,
                 "router_spans": len(self.flight.spans()),
-                "clock_sync": {wid: sync.to_dict()
-                               for wid, sync in self._clock_syncs.items()},
                 "fleet_incidents": [str(p) for p in self.fleet_incidents],
             }
         return {

@@ -18,17 +18,14 @@ desc, meta)``             asynchronously via ``ServeFuture.
                           add_done_callback`` → ``("res", rid, ...,
                           timing)`` (``meta["trace"]`` carries the
                           router's trace context when fleet tracing is
-                          on; ``timing`` holds worker-clock
-                          ``recv_us``/``respond_us``)
+                          on; ``timing`` holds ``recv_us``/
+                          ``respond_us`` on the process clock)
 ``("prime", token, ops,   :meth:`Server.prime` the shape (plan-cache
 desc, meta)``             warmup) → ``("ack", wid, token, plans)``
 ``("stats", token)``      → ``("stats", wid, token, stats, warm_keys)``
 ``("fault", token, m)``   set the chaos injector mode → ack
 ``("profile", token,      record a ``loadgen.profile`` event into the
 fields)``                 flight ring (makes worker bundles replayable)
-``("clock", token, t)``   clock-calibration probe → ``("ack", wid,
-                          token, (recv_us, send_us))`` on the worker
-                          clock (NTP-style; see repro.obs.distrib)
 ``("trace", token)``      → ``("ack", wid, token, flight_span_dicts)``
 ``("bundle", token)``     → ``("ack", wid, token, {"spans": ...,
                           "events": ..., "incidents": ...})`` — this
@@ -45,10 +42,12 @@ descriptors off the queue.  The callback fires on the server's worker
 thread — micro-batching inside each fleet worker keeps working exactly
 as in the single-process serve tier.
 
-When fleet tracing is on (``FleetConfig.trace != "off"``), the worker
-captures ``t0_ns`` as its very first act and installs a tracer sharing
-that epoch (so every span, control timestamp and clock-probe reply sits
-on **one** worker clock).  Completed spans land in the server's
+The worker stamps time on the process clock
+(:func:`repro.obs.tracer.now_us`), whose epoch it inherited from the
+router at fork, so its timing, spans and events sit on the router's
+timebase with no offset.  When fleet tracing is on
+(``FleetConfig.trace != "off"``), it installs a default-clock tracer
+whose completed spans land in the server's
 :class:`~repro.obs.flight.FlightRecorder` ring, the only span sink in
 the worker; the ``trace``/``bundle``/``drain`` replies snapshot it.
 The flight recorder also notifies the router of every local incident
@@ -58,16 +57,17 @@ can gather a fleet-wide bundle.
 
 from __future__ import annotations
 
-import time
 import traceback
 
 import numpy as np
+
+from repro.obs.tracer import Tracer, install, now_us
 
 __all__ = ["worker_main"]
 
 
 def _respond(outbox, worker_id: str, rid: int, future, shm,
-             recv_us, now_us) -> None:
+             recv_us) -> None:
     """Done-callback body: stage the result (or the error) and post it."""
     from repro.fleet.transport import stage_result
 
@@ -102,29 +102,19 @@ def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
                 device=None, trace_mode=None) -> None:
     """Run one fleet worker until drained.  This is the forked child's
     entire life; it never returns control to the caller's code."""
-    # The worker clock epoch: captured before anything else so the
-    # tracer and every control-message timestamp share one microsecond
-    # origin — the thing the router calibrates against.
-    t0_ns = time.perf_counter_ns()
-
-    def now_us() -> float:
-        return (time.perf_counter_ns() - t0_ns) / 1e3
-
     from repro.fleet.transport import attach_payload, revive_ops
     from repro.serve.loadgen import MutableFaultInjector
     from repro.serve.server import Server
 
     if trace_mode and trace_mode != "off":
-        from repro import obs as _obs
         from repro.obs.distrib import TraceContext
-        from repro.obs.tracer import Tracer
 
         # retain=False: the flight ring is the only span consumer, so
         # the tracer must not also accumulate every span for the life
         # of the worker — that is both unbounded memory on a
         # long-running server and measurable GC pressure on the traced
         # hot path.
-        _obs.install(Tracer(trace_mode, t0_ns=t0_ns, retain=False))
+        install(Tracer(trace_mode, retain=False))
     else:
         TraceContext = None  # noqa: N806 - sentinel for the req path
 
@@ -170,8 +160,7 @@ def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
                     raise
                 fut.add_done_callback(
                     lambda f, _rid=rid, _shm=shm, _recv=recv_us:
-                    _respond(outbox, worker_id, _rid, f, _shm, _recv,
-                             now_us))
+                    _respond(outbox, worker_id, _rid, f, _shm, _recv))
             elif tag == "prime":
                 _, token, frozen, desc, meta = msg
                 ops = revive_ops(frozen)
@@ -200,13 +189,6 @@ def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
                     server.flight.record_event("loadgen.profile",
                                                **fields)
                 outbox.put(("ack", worker_id, token, None))
-            elif tag == "clock":
-                # NTP-style probe: both timestamps on the worker clock;
-                # ``recv_us`` was taken the moment the message left the
-                # queue, ``send_us`` as the reply is posted.
-                _, token, _t_router_send = msg
-                outbox.put(("ack", worker_id, token,
-                            (recv_us, now_us())))
             elif tag == "trace":
                 _, token = msg
                 outbox.put(("ack", worker_id, token, ring_snapshot()))
@@ -235,8 +217,8 @@ def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
                 outbox.put(("res", msg[1], "err", type(exc).__name__,
                             f"{exc} ({traceback.format_exc(limit=2)})",
                             {"recv_us": recv_us, "respond_us": now_us()}))
-            elif tag in ("prime", "stats", "fault", "clock", "trace",
-                         "bundle", "drain"):
+            elif tag in ("prime", "stats", "fault", "trace", "bundle",
+                         "drain"):
                 outbox.put(("err", worker_id,
                             f"{tag} failed: {type(exc).__name__}: {exc}",
                             msg[1]))

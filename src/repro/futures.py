@@ -1,6 +1,7 @@
 """The one result-retrieval interface every entry surface shares.
 
-Historically the library grew three spellings for "get my result":
+Historically the library grew one spelling of "get my result" per
+entry surface:
 
 * ``repro.ds(...)`` returned a :class:`~repro.primitives.common.
   PrimitiveResult` eagerly;
@@ -8,7 +9,8 @@ Historically the library grew three spellings for "get my result":
   :class:`~repro.pipeline.engine.DSFuture` with ``result()``/``output``;
 * ``Server.submit`` returned a
   :class:`~repro.serve.request.ServeFuture` with a *different*
-  ``result(timeout)`` signature plus ``wait``/``exception``.
+  ``result(timeout)`` signature plus ``wait``/``exception``;
+* ``Fleet.submit`` returns a :class:`~repro.fleet.fleet.FleetFuture`.
 
 This module collapses them onto one documented :class:`Future`
 interface (re-exported as ``repro.Future``):
@@ -31,8 +33,8 @@ interface (re-exported as ``repro.Future``):
 
 :class:`~repro.primitives.common.PrimitiveResult` participates as an
 always-done virtual subclass (it grows ``done``/``result()`` for the
-purpose), so ``repro.ds(...)``, a pipeline future and a serve future
-can all be drained by the same code path::
+purpose), so ``repro.ds(...)``, a pipeline future, a serve future and
+a fleet future can all be drained by the same code path::
 
     def drain(fut: repro.Future) -> np.ndarray:
         assert fut.result().extras is not None
@@ -75,8 +77,9 @@ def normalized_extras(extras: Optional[Mapping]) -> dict:
 class Future(ABC):
     """Abstract result handle — see the module docstring for the
     contract.  Concrete futures (:class:`~repro.pipeline.engine.
-    DSFuture`, :class:`~repro.serve.request.ServeFuture`) inherit the
-    derived accessors; :class:`~repro.primitives.common.PrimitiveResult`
+    DSFuture`, :class:`~repro.serve.request.ServeFuture`,
+    :class:`~repro.fleet.fleet.FleetFuture`) inherit the derived
+    accessors; :class:`~repro.primitives.common.PrimitiveResult`
     is registered as an always-done virtual subclass."""
 
     __slots__ = ()

@@ -3,7 +3,8 @@
 The observability layer of the reproduction:
 
 * :mod:`repro.obs.tracer` — a zero-cost-when-disabled span tracer with
-  per-work-group tracks, plus the ``REPRO_TRACE`` mode resolution;
+  per-work-group tracks, the one process clock every stamp reads
+  (``now_us``), and the ``REPRO_TRACE`` mode resolution;
 * :mod:`repro.obs.metrics` — a typed metrics registry (counters,
   gauges, histograms) attached to every tracer;
 * :mod:`repro.obs.export` — Chrome-trace JSON (``chrome://tracing`` /
@@ -26,13 +27,7 @@ Only the tracer, metrics and export surfaces are imported eagerly, so
 the simulator can depend on ``repro.obs`` without cycles.
 """
 
-from repro.obs.distrib import (
-    ClockSync,
-    TraceContext,
-    calibrate,
-    merge_fleet_trace,
-    span_to_dict,
-)
+from repro.obs.distrib import TraceContext, merge_fleet_trace, span_to_dict
 from repro.obs.export import (
     chrome_trace_events,
     export_chrome_trace,
@@ -81,6 +76,5 @@ __all__ = [
     "chrome_trace_events", "export_chrome_trace", "export_jsonl",
     "validate_chrome_trace",
     "FlightRecorder",
-    "TraceContext", "ClockSync", "calibrate",
-    "merge_fleet_trace", "span_to_dict",
+    "TraceContext", "merge_fleet_trace", "span_to_dict",
 ]

@@ -365,7 +365,9 @@ def _analyze_fleet_requests(procs: Dict[int, _Process]) -> List[dict]:
     end-to-end wall (they sum to it by construction — the ±2%
     ``--check`` clause guards the bookkeeping), and the worker-side
     stage spans break the ``worker`` segment into batch-window / plan /
-    execute / finalize.
+    execute / finalize.  ``worker_overhang_us`` is how far the worker's
+    ``serve.request`` reaches outside the router's ``worker`` segment:
+    0 when both processes stamp one clock.
     """
     router = next((procs[pid] for pid in sorted(procs)
                    if procs[pid].name == "router"), None)
@@ -412,7 +414,9 @@ def _analyze_fleet_requests(procs: Dict[int, _Process]) -> List[dict]:
         complete = all(seg in segs for seg in segments)
         covered = sum(segs.get(seg, 0.0) for seg in segments)
         wall = root.dur
-        worker_detail = None
+        worker_seg = next((sp for sp in spans if sp.name == "serve.worker"),
+                          None)
+        worker_detail = overhang = None
         for proc, wroot, wspans in worker_roots.get(trace_id, []):
             stages: Dict[str, float] = {}
             for sp in wspans:
@@ -426,6 +430,9 @@ def _analyze_fleet_requests(procs: Dict[int, _Process]) -> List[dict]:
                 "stages": {s: stages[s] for s in _STAGE_ORDER
                            if s in stages},
             }
+            if worker_seg is not None:
+                overhang = max(0.0, worker_seg.ts - wroot.ts,
+                               wroot.end - worker_seg.end)
             break  # one worker serves one fleet request
         out.append({
             "trace_id": trace_id,
@@ -439,6 +446,7 @@ def _analyze_fleet_requests(procs: Dict[int, _Process]) -> List[dict]:
             "sum_us": covered,
             "sum_ratio": (covered / wall) if wall > 0 else 1.0,
             "worker_detail": worker_detail,
+            "worker_overhang_us": overhang,
         })
     return out
 
@@ -577,18 +585,26 @@ def check_report(report: dict, *, tolerance: float = 0.01,
     spin time can never exceed the wall, a launch's host phases can
     never exceed its wall either, and every complete fleet request's
     cross-process critical path (router queue → transport → worker →
-    response) must sum to the request wall within ``fleet_tolerance``.
+    response) must sum to the request wall within ``fleet_tolerance``,
+    with the worker's own ``serve.request`` inside the router's
+    ``worker`` segment (a worker on another clock fails this).
     Returns the violations."""
     problems = []
     for req in report.get("fleet_requests") or []:
         if not req.get("complete"):
             continue
+        label = f"fleet req {req['request_id']} ({req['trace_id']})"
         if abs(req["sum_ratio"] - 1.0) > fleet_tolerance:
             problems.append(
-                f"fleet req {req['request_id']} ({req['trace_id']}): "
-                f"cross-process critical path sums to "
+                f"{label}: cross-process critical path sums to "
                 f"{req['sum_ratio']:.4f}x of request wall "
                 f"(tolerance {fleet_tolerance:.0%})")
+        overhang = req.get("worker_overhang_us")
+        if overhang is not None and overhang > _EPS_US:
+            problems.append(
+                f"{label}: worker serve.request reaches {overhang:.3f}us "
+                f"outside the router's serve.worker segment (are the "
+                f"processes on one clock?)")
     for proc in report["processes"]:
         for launch in proc["launches"]:
             host = launch["host_phases"]

@@ -25,10 +25,15 @@ Two feeds fill the ring:
 The event feed is the process's one event stream.  Given an
 ``event_log`` path, the recorder also appends every event to that file
 as one JSON object per line (``ts`` wall-clock epoch seconds, ``ts_us``
-on the recorder's clock, ``event``, then the event's fields), so one
+on the process clock, ``event``, then the event's fields), so one
 ``grep`` by ``request_id`` follows a request across layers without a
 dump.  Each recorder owns its file: two servers in one process write
 two logs.
+
+Events, cooldowns and default-clock spans all stamp the one process
+clock (:func:`repro.obs.tracer.now_us`), which forked fleet workers
+inherit, so a bundle's events and spans share one timebase: an event
+recorded between two spans lands between them.
 
 The same ring is a fleet worker's span ring: the front door collects
 :meth:`~FlightRecorder.span_dicts` snapshots on response, drain or
@@ -41,8 +46,8 @@ from :func:`repro.obs.distrib.merge_fleet_trace`, openable in Perfetto)
 and ``manifest.json`` (trigger, recent events, metrics registry
 snapshot, active ``DSConfig``/``ServeConfig``).  A single process's
 bundle is the merger's one-lane case; a fleet router passes every
-worker's ring and gets one clock-aligned lane per worker.  This module
-is the only writer of the bundle format.  :meth:`maybe_dump` adds
+worker's ring and gets one lane per worker.  This module is the only
+writer of the bundle format.  :meth:`maybe_dump` adds
 per-trigger rate limiting so a failure storm produces one bundle per
 cooldown window, not thousands.
 """
@@ -59,7 +64,7 @@ from typing import Deque, Dict, List, Optional, Union
 
 from repro.obs.distrib import merge_fleet_trace, span_to_dict
 from repro.obs.export import _sanitize
-from repro.obs.tracer import Span, add_span_sink, remove_span_sink
+from repro.obs.tracer import Span, add_span_sink, now_us, remove_span_sink
 
 __all__ = ["FlightRecorder", "TRIGGERS"]
 
@@ -117,7 +122,6 @@ class FlightRecorder:
         self.cooldown_ms = float(cooldown_ms)
         self._spans: Deque[Union[Span, dict]] = deque(maxlen=self.capacity)
         self._events: Deque[dict] = deque(maxlen=self.capacity)
-        self._t0 = time.perf_counter_ns()
         self._last_dump_us: Dict[str, float] = {}
         self._seq = 0
         self._lock = threading.Lock()
@@ -132,9 +136,6 @@ class FlightRecorder:
 
     # -- recording (the hot path) ---------------------------------------------
 
-    def now_us(self) -> float:
-        return (time.perf_counter_ns() - self._t0) / 1e3
-
     def record_span(self, sp: Span) -> None:
         """Span-sink callback: one bounded append, no copying (atomic
         under CPython, so no lock on the hot path)."""
@@ -145,10 +146,10 @@ class FlightRecorder:
         self._spans.append(dict(span_dict))
 
     def record_event(self, event: str, **fields) -> None:
-        """Record a structured event with the recorder's own clock —
-        works without any tracer, which is the serve hot path — and
-        append it to the ``event_log`` file, if there is one."""
-        fields["ts_us"] = round(self.now_us(), 3)
+        """Record a structured event on the process clock — works
+        without any tracer, which is the serve hot path — and append it
+        to the ``event_log`` file, if there is one."""
+        fields["ts_us"] = round(now_us(), 3)
         fields["event"] = event
         self._events.append(fields)
         if self._log is not None:
@@ -218,7 +219,7 @@ class FlightRecorder:
         """Open ``trigger``'s cooldown window; ``False`` when one is
         still open (the same trigger fired within ``cooldown_ms``)."""
         with self._lock:
-            now = self.now_us()
+            now = now_us()
             last = self._last_dump_us.get(trigger)
             if last is not None and (now - last) / 1e3 < self.cooldown_ms:
                 return False
@@ -233,7 +234,7 @@ class FlightRecorder:
              metrics=None, ds_config=None, serve_config=None,
              context: Optional[dict] = None,
              workers: Optional[Dict[str, dict]] = None,
-             clock_syncs: Optional[Dict] = None, **fields) -> Path:
+             **fields) -> Path:
         """Write an incident bundle and return its directory.
 
         ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -242,10 +243,10 @@ class FlightRecorder:
 
         ``workers`` makes the bundle fleet-wide: ``{worker_id:
         {"spans": [...], "events": [...]}}`` adds one process lane per
-        worker to ``trace.json``, shifted onto this recorder's clock by
-        ``clock_syncs``, and each worker's events to the manifest,
-        tagged with ``worker``.  ``fields`` are extra manifest keys
-        (the fleet's ``scope``, ``source_worker``, ``worker_bundle``).
+        worker to ``trace.json`` and each worker's events to the
+        manifest, tagged with ``worker``.  ``fields`` are extra manifest
+        keys (the fleet's ``scope``, ``source_worker``,
+        ``worker_bundle``).
         """
         spans = self.span_dicts()
         events = self.events()
@@ -262,8 +263,7 @@ class FlightRecorder:
         bundle = self.incident_dir / f"incident-{stamp}-{seq:03d}-{trigger}"
         bundle.mkdir(parents=True, exist_ok=True)
 
-        merge_fleet_trace(spans, worker_spans, clock_syncs=clock_syncs,
-                          path=bundle / "trace.json")
+        merge_fleet_trace(spans, worker_spans, path=bundle / "trace.json")
 
         manifest = {
             "kind": "repro-incident-bundle",

@@ -35,6 +35,14 @@ launch ran: the simulated work-groups' algorithm phases ``load`` /
 vectorized launch's two host phases ``movement`` and ``accounting``
 under its launch span) and ``sched`` (schedule-dependent spans such as
 ``sync_wait``, which only the simulated backend has, like ``n_spins``).
+
+**One process clock.**  :func:`now_us` counts microseconds from
+:data:`EPOCH_NS`, read once when this module is imported.  Every
+real-time stamp reads it: default-clock tracers, flight-recorder events,
+the fleet router's and workers' request timing.  Fleet and stream-pool
+workers are forked after the import, so they inherit the epoch (and
+``CLOCK_MONOTONIC``) and their stamps need no offset.  A tracer given an
+injected ``clock`` (tests, golden files) counts from its first reading.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ __all__ = [
     "annotate", "current_annotations",
     "add_span_sink", "remove_span_sink",
     "new_span_id", "new_trace_id",
+    "EPOCH_NS", "now_us",
 ]
 
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -65,6 +74,15 @@ TRACE_MODES = ("off", "spans", "full")
 
 HOST_TRACK = "host"
 """Track carrying host-side control flow (primitives, launches)."""
+
+EPOCH_NS = time.perf_counter_ns()
+"""The process clock's origin (``perf_counter_ns`` at import), inherited
+by every forked worker."""
+
+
+def now_us() -> float:
+    """Microseconds since :data:`EPOCH_NS` on the process clock."""
+    return (time.perf_counter_ns() - EPOCH_NS) / 1e3
 
 
 def wg_track(group_index: int) -> str:
@@ -288,13 +306,10 @@ class Tracer:
         ``"spans"`` or ``"full"`` (``"off"`` is represented by *no*
         tracer being installed, keeping the disabled path free).
     clock:
-        Nanosecond monotonic clock; injectable for deterministic tests
-        and golden files.
-    t0_ns:
-        Optional explicit clock epoch (nanoseconds on ``clock``).  A
-        fleet worker passes the timestamp it captured at process start
-        so its tracer, flight ring and control-message timing all share
-        one microsecond origin; default is "now".
+        Nanosecond monotonic clock.  The default stamps on the process
+        clock (microseconds since :data:`EPOCH_NS`); an injected clock
+        (deterministic tests, golden files) counts from its first
+        reading.
     retain:
         When ``False``, finished top-level spans are NOT accumulated on
         the tracer (and instants are kept in a bounded window): the
@@ -307,7 +322,7 @@ class Tracer:
 
     def __init__(self, mode: str = "full",
                  clock: Callable[[], int] = time.perf_counter_ns,
-                 t0_ns: Optional[int] = None, retain: bool = True) -> None:
+                 retain: bool = True) -> None:
         mode = resolve_trace_mode(mode)
         if mode == "off":
             raise ReproError(
@@ -315,7 +330,7 @@ class Tracer:
                 "install a tracer")
         self.mode = mode
         self._clock = clock
-        self._t0 = clock() if t0_ns is None else int(t0_ns)
+        self._t0 = EPOCH_NS if clock is time.perf_counter_ns else clock()
         self.retain = bool(retain)
         self.metrics = MetricsRegistry()
         self._roots: Dict[str, List[Span]] = {}
@@ -331,7 +346,8 @@ class Tracer:
         return self.mode == "full"
 
     def now_us(self) -> float:
-        """Microseconds since the tracer was created."""
+        """Microseconds on this tracer's clock (the process clock unless
+        one was injected)."""
         return (self._clock() - self._t0) / 1e3
 
     # -- span lifecycle -------------------------------------------------------
@@ -462,7 +478,7 @@ def disable() -> Optional[Tracer]:
 
 def install(tracer: Tracer) -> Tracer:
     """Install a pre-constructed tracer as the process-global one (used
-    by fleet workers to share the worker clock epoch via ``t0_ns``)."""
+    by fleet workers, whose tracer keeps no spans of its own)."""
     global _ACTIVE
     _ACTIVE = tracer
     return tracer

@@ -102,8 +102,7 @@ STREAMABLE_OPS: Dict[str, str] = {
 }
 
 
-def is_out_of_core(source: DSSource,
-                   shard_elems: Optional[int] = None) -> bool:
+def is_out_of_core(source: DSSource) -> bool:
     """Whether the front doors should stream ``source``.
 
     The rule is deliberately conservative: an in-core ndarray *never*

@@ -36,9 +36,11 @@ precomputed slice — workers never contend.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from multiprocessing import resource_tracker
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +59,22 @@ from repro.stream.source import DSSource, MemmapSource, SharedMemorySource
 
 __all__ = ["pool_shards", "fork_unavailable_reason", "input_descriptor",
            "attach_input"]
+
+# This module forks for both the shard pool and the fleet transport.  A
+# child inherits every lock in the state the fork found it, and the
+# fleet forks while its other threads create and unlink shared-memory
+# segments under the resource tracker's lock: a child forked while
+# another thread held it would block forever on its first SharedMemory.
+# Holding the lock across every fork hands the child a released lock,
+# for one uncontended acquire per fork and nothing per request.  (A
+# Lock on Python 3.10, an RLock from 3.11; acquire/release suits both.)
+# Other locks can still be inherited held; only forking from a process
+# with no other threads rules that out.
+if hasattr(os, "register_at_fork"):
+    _TRACKER_LOCK = resource_tracker._resource_tracker._lock
+    os.register_at_fork(before=_TRACKER_LOCK.acquire,
+                        after_in_parent=_TRACKER_LOCK.release,
+                        after_in_child=_TRACKER_LOCK.release)
 
 
 def fork_unavailable_reason() -> Optional[str]:

@@ -48,6 +48,15 @@ class TestScaleUp:
                             p95_ms=150.0, completed_delta=3)
         assert scaler.observe(snap) == "up"
 
+    def test_inflight_backlog_is_pressure_with_an_empty_queue(self):
+        # A burst the batcher already grouped leaves queue_depth near 0;
+        # the backlog shows up as in-flight work.
+        scaler = Autoscaler(_cfg(up_after=1, n_workers=2))
+        snap = TickSnapshot(n_workers=2, queue_depth=0, inflight=8 * 2,
+                            p95_ms=0.0, completed_delta=5)
+        assert scaler.observe(snap) == "up"
+        assert scaler.history[-1]["pressured"] is True
+
     def test_never_exceeds_max_workers(self):
         scaler = Autoscaler(_cfg(up_after=1, cooldown_ticks=0,
                                  max_workers=2))

@@ -8,6 +8,7 @@ acceptance path lives in ``python -m repro fleet --check``.
 import numpy as np
 import pytest
 
+import repro
 from repro.fleet import Fleet, FleetConfig
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_shape
@@ -48,6 +49,14 @@ class TestFleetEndToEnd:
             assert np.array_equal(res.output, spec.expected)
         # Identical batch keys must pin to one worker (warm plan cache).
         assert len({f.worker_id for f in futures}) == 1
+
+    def test_fleet_future_is_a_repro_future(self, fleet):
+        spec = make_shape("compact", 128, seed=5)
+        fut = fleet.submit_chain(list(spec.ops), spec.array)
+        assert isinstance(fut, repro.Future)
+        assert np.array_equal(fut.output, spec.expected)
+        assert fut.extras["degraded"] is False
+        assert fut.extras["request_id"] is not None
 
     def test_distinct_shapes_spread_and_stats_roll_up(self, fleet):
         for name, n in (("compact", 128), ("unique", 128),

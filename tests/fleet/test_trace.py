@@ -1,14 +1,19 @@
 """Distributed-tracing integration over a real (small) fleet: trace
-context rides the shm transport, worker rings come back calibrated,
-and the merged Chrome trace joins both sides of every request.
+context rides the shm transport, router and workers stamp one process
+clock, and the merged Chrome trace joins both sides of every request.
 
 Kept to 2 workers and a handful of requests — the heavyweight tracing
 acceptance is phase 5 of ``python -m repro fleet --check``.
 """
 
+import contextlib
+import json
+import time
+
 import numpy as np
 import pytest
 
+from repro.errors import ServeError
 from repro.fleet import Fleet, FleetConfig
 from repro.obs import analyze as obs_analyze
 from repro.obs.export import validate_chrome_trace
@@ -50,16 +55,6 @@ def _drive(fleet, n_requests=6, seed=11):
 
 
 class TestFleetTracing:
-    def test_clocks_calibrated_at_spawn(self, fleet):
-        syncs = fleet.stats()["trace"]["clock_sync"]
-        assert set(syncs) == set(fleet.worker_ids)
-        for sync in syncs.values():
-            assert sync["n_samples"] >= 1
-            # CLOCK_MONOTONIC is shared; only the per-process tracer
-            # origins differ, and the residual must be bounded by the
-            # handshake's own rtt.
-            assert sync["uncertainty_us"] <= sync["rtt_us"]
-
     def test_merged_trace_joins_router_and_worker_spans(self, fleet,
                                                         tmp_path):
         _drive(fleet)
@@ -134,3 +129,49 @@ class TestFleetTracing:
         assert trace["mode"] == "full"
         assert trace["router_spans"] >= 3
         assert trace["fleet_incidents"] == []
+
+
+class TestOneClock:
+    def test_worker_events_follow_their_spans_in_a_fleet_bundle(
+            self, tmp_path):
+        """A worker's events and spans share the router's clock: in a
+        fleet-wide incident bundle, each worker ``serve.request_done``
+        event comes at or after the end of the worker ``serve.request``
+        span it closes."""
+        cfg = FleetConfig(
+            n_workers=1, min_workers=1, max_workers=1, tick_interval_s=0.0,
+            trace="spans", incident_dir=str(tmp_path),
+            serve=ServeConfig(max_wait_ms=1.0, breaker_threshold=2,
+                              incident_cooldown_ms=0.0))
+        spec = make_shape("compact", 128, seed=5)
+        with Fleet(cfg) as fleet:
+            for _ in range(3):
+                fleet.submit_chain(list(spec.ops),
+                                   spec.array).result(timeout=60.0)
+            fleet.set_fault("always")
+            for _ in range(4):  # trips the worker's breaker
+                with contextlib.suppress(ServeError):
+                    fleet.submit_chain(list(spec.ops),
+                                       spec.array).result(timeout=60.0)
+            fleet.set_fault(None)
+            deadline = time.monotonic() + 10.0
+            while not fleet.fleet_incidents and time.monotonic() < deadline:
+                time.sleep(0.05)
+            bundles = fleet.fleet_incidents
+        assert bundles, "no fleet-wide incident bundle was written"
+        doc = json.loads((bundles[0] / "trace.json").read_text())
+        manifest = json.loads((bundles[0] / "manifest.json").read_text())
+        (worker_pid,) = [ev["pid"] for ev in doc["traceEvents"]
+                         if ev["name"] == "process_name"
+                         and ev["args"]["name"] == "worker w0"]
+        span_end = {ev["args"]["request_id"]: round(ev["ts"] + ev["dur"], 3)
+                    for ev in doc["traceEvents"]
+                    if ev.get("ph") == "X" and ev["pid"] == worker_pid
+                    and ev["name"] == "serve.request"}
+        done = [ev for ev in manifest["events"]
+                if ev.get("worker") == "w0"
+                and ev["event"] == "serve.request_done"
+                and ev["request_id"] in span_end]
+        assert done
+        for ev in done:
+            assert ev["ts_us"] >= span_end[ev["request_id"]], ev

@@ -17,6 +17,7 @@ from repro.obs.analyze import (
     main,
     render_text,
 )
+from repro.obs.distrib import merge_fleet_trace
 from repro.obs.export import export_chrome_trace, export_jsonl
 from repro.obs.flight import FlightRecorder
 from repro.obs.tracer import Tracer
@@ -242,6 +243,46 @@ class TestSources:
         from repro.errors import ReproError
         with pytest.raises(ReproError):
             load_trace(tmp_path / "nope.json")
+
+
+def _fleet_request(worker_root_us):
+    """One merged fleet request: router segments tile [0, 1000] with
+    ``serve.worker`` at [200, 800]; the worker's own root spans
+    ``worker_root_us``."""
+    def span(name, ts, end, sid, **args):
+        return {"name": name, "cat": "serve", "track": "serve:req1",
+                "ts_us": ts, "dur_us": end - ts, "args": args,
+                "span_id": sid}
+    router = [span("serve.request", 0.0, 1000.0, "r1", trace_id="t1",
+                   request_id=1, worker="w0"),
+              span("serve.route", 0.0, 100.0, "r2", trace_id="t1"),
+              span("serve.transport", 100.0, 200.0, "r3", trace_id="t1"),
+              span("serve.worker", 200.0, 800.0, "r4", trace_id="t1"),
+              span("serve.response", 800.0, 1000.0, "r5", trace_id="t1")]
+    lo, hi = worker_root_us
+    worker = [span("serve.request", lo, hi, "w1", trace_id="t1",
+                   parent_span_id="r1", request_id=7)]
+    return merge_fleet_trace(router, {"w0": worker})
+
+
+class TestFleetClockGate:
+    @pytest.mark.parametrize("root_us, overhang", [
+        ((250.0, 750.0), 0.0),
+        # A worker on another epoch draws its spans shifted; here its
+        # root ends 50us after the router's serve.worker segment.
+        ((250.0, 850.0), 50.0),
+    ])
+    def test_worker_root_outside_its_segment_is_flagged(
+            self, tmp_path, root_us, overhang):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(_fleet_request(root_us)))
+        report = analyze(str(path))
+        (req,) = report["fleet_requests"]
+        assert req["worker_overhang_us"] == pytest.approx(overhang)
+        problems = check_report(report)
+        assert len(problems) == (1 if overhang else 0)
+        assert all("outside the router's serve.worker segment" in p
+                   for p in problems)
 
 
 class TestCli:

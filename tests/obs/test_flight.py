@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import FlightRecorder, TRIGGERS
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, tracing
 
 
 class FakeClock:
@@ -107,6 +108,36 @@ class TestRing:
         assert [sp.name for sp in fr.spans()] == ["during"]
 
 
+class TestOneClock:
+    def test_event_between_two_spans_lands_between_them(self, tmp_path):
+        # The tracer and the recorder are built 50 ms apart, yet both
+        # stamp the one process clock.
+        with tracing("spans") as t:
+            time.sleep(0.05)
+            fr = FlightRecorder(capacity=8, incident_dir=tmp_path).install()
+            try:
+                with t.span("before"):
+                    pass
+                fr.record_event("between")
+                with t.span("after"):
+                    pass
+            finally:
+                fr.close()
+        (before,), (after,) = t.find_spans("before"), t.find_spans("after")
+        (event,) = fr.events()
+        assert before.end_us <= event["ts_us"] <= after.start_us
+
+        bundle = fr.dump("manual")
+        spans = {ev["name"]: ev for ev in json.loads(
+            (bundle / "trace.json").read_text())["traceEvents"]
+            if ev.get("ph") == "X"}
+        (event,) = json.loads(
+            (bundle / "manifest.json").read_text())["events"]
+        before, after = spans["before"], spans["after"]
+        assert round(before["ts"] + before["dur"], 3) <= event["ts_us"] \
+            <= after["ts"]
+
+
 class TestDump:
     def _filled(self):
         fr = FlightRecorder(capacity=16)
@@ -175,8 +206,6 @@ class TestDump:
                             "events": [{"event": "serve.admit",
                                         "ts_us": 1.0}]},
                      "w1": {"spans": []}},
-            clock_syncs={"w0": {"offset_us": 5.0, "uncertainty_us": 1.0,
-                                "rtt_us": 2.0, "n_samples": 3}},
             scope="fleet", source_worker="w0")
         doc = json.loads((bundle / "trace.json").read_text())
         validate_chrome_trace(doc)
@@ -185,7 +214,7 @@ class TestDump:
         assert lanes == {"router", "worker w0", "worker w1"}
         (ev,) = [ev for ev in doc["traceEvents"]
                  if ev["name"] == "serve.execute"]
-        assert ev["ts"] == 6.0  # shifted onto the router clock
+        assert ev["ts"] == 1.0  # one clock: copied unshifted
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert manifest["kind"] == "repro-incident-bundle"
         assert (manifest["scope"], manifest["source_worker"]) == \

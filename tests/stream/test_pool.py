@@ -7,6 +7,9 @@ protocol (unique not last, unsized sources, no fork), it must *fall
 back loudly* to the sequential path, never silently corrupt.
 """
 
+import multiprocessing
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -113,3 +116,51 @@ class TestPoolFallbacks:
         ref = stream_run([("compact", 0.0)], values, config=config)
         np.testing.assert_array_equal(res.output, ref.output)
         assert res.extras["n_workers"] == 0
+
+
+def _attach_and_close(name):
+    from multiprocessing import shared_memory
+
+    shared_memory.SharedMemory(name=name).close()
+
+
+class TestForkSafety:
+    def test_fork_while_another_thread_holds_the_tracker_lock(self):
+        """A worker forked while another thread holds the resource
+        tracker's lock (the fleet collector attaching and unlinking
+        segments) must not inherit it held: its first attach would
+        block forever."""
+        from multiprocessing import resource_tracker, shared_memory
+
+        seg = shared_memory.SharedMemory(create=True, size=64)
+        lock = resource_tracker._resource_tracker._lock
+        held = threading.Event()
+
+        def hold():
+            with lock:
+                held.set()
+                time.sleep(0.2)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        child = None
+        try:
+            assert held.wait(10.0)
+            child = multiprocessing.get_context("fork").Process(
+                target=_attach_and_close, args=(seg.name,))
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork with threads alive, which
+                # is the situation under test.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                child.start()
+            child.join(10.0)
+            hung = child.is_alive()
+            assert not hung, "forked child hung attaching shared memory"
+            assert child.exitcode == 0
+        finally:
+            if child is not None and child.is_alive():
+                child.kill()
+                child.join()
+            holder.join()
+            seg.close()
+            seg.unlink()
