@@ -50,29 +50,44 @@ serve-smoke:     ## serve layer: healthy + fault-injected loadgen, acceptance-ch
 	  benchmarks/bench_serve_load.py --benchmark-only
 	$(PYTHON) -m pytest tests/serve -q
 
+# The stream and fleet legs print each command's stderr and fail if it
+# mentions multiprocessing's resource tracker: a leak report or a failed
+# unlink.  The stderr runs through a pipe, so lines a tracker prints
+# after its command exited are still read.
+stream-smoke fleet-smoke: SHELL := /bin/bash
+stream-smoke fleet-smoke: .SHELLFLAGS := -o pipefail -c
+SMOKE_STDERR = /tmp/repro_smoke_stderr.txt
+define no_tracker_noise
+{ { $(1); } 2>&1 >&3 3>&- | tee $(SMOKE_STDERR) >&2; } 3>&1 && \
+  if grep -q resource_tracker $(SMOKE_STDERR); then \
+    echo "FAILED: resource_tracker lines on stderr" >&2; exit 1; fi
+endef
+
 stream-smoke:    ## out-of-core streaming: memmap 8x device capacity, compact->unique, sequential + pool, byte-checked
-	$(PYTHON) -m repro stream --check \
-	  --trace /tmp/repro_stream_smoke.json
-	$(PYTHON) -m repro analyze /tmp/repro_stream_smoke.json --check
-	$(PYTHON) -m pytest tests/stream -q
+	$(call no_tracker_noise,$(PYTHON) -m repro stream --check \
+	  --trace /tmp/repro_stream_smoke.json)
+	$(call no_tracker_noise,$(PYTHON) -m repro analyze \
+	  /tmp/repro_stream_smoke.json --check)
+	$(call no_tracker_noise,$(PYTHON) -m pytest tests/stream -q)
 
 fleet-smoke:     ## multi-process fleet: 3 workers, fault-injected loadgen, acceptance pass (incl. merged trace + fleet bundle) + CLI replay + analyze --check on the merged trace
 	rm -rf /tmp/repro_fleet_smoke_incidents
-	timeout 600 $(PYTHON) -m repro fleet \
+	$(call no_tracker_noise,timeout 600 $(PYTHON) -m repro fleet \
 	  --check --workers 3 --fault 0.5 \
 	  --incident-dir /tmp/repro_fleet_smoke_incidents \
 	  --trace-out /tmp/repro_fleet_smoke_trace.json \
-	  --stats-out /tmp/repro_fleet_smoke_stats.json
-	$(PYTHON) -m repro analyze /tmp/repro_fleet_smoke_stats.json > /dev/null
-	timeout 120 $(PYTHON) -m repro analyze \
-	  /tmp/repro_fleet_smoke_trace.json --check > /dev/null
-	timeout 120 $(PYTHON) -m repro replay \
+	  --stats-out /tmp/repro_fleet_smoke_stats.json)
+	$(call no_tracker_noise,$(PYTHON) -m repro analyze \
+	  /tmp/repro_fleet_smoke_stats.json > /dev/null)
+	$(call no_tracker_noise,timeout 120 $(PYTHON) -m repro analyze \
+	  /tmp/repro_fleet_smoke_trace.json --check > /dev/null)
+	$(call no_tracker_noise,timeout 120 $(PYTHON) -m repro replay \
 	  $$(ls -d /tmp/repro_fleet_smoke_incidents/w*/incident-* | head -1) \
-	  --check
-	timeout 120 $(PYTHON) -m repro replay \
+	  --check)
+	$(call no_tracker_noise,timeout 120 $(PYTHON) -m repro replay \
 	  $$(ls -d /tmp/repro_fleet_smoke_incidents/incident-* | head -1) \
-	  --plan > /dev/null
-	timeout 600 $(PYTHON) -m pytest tests/fleet -q
+	  --plan > /dev/null)
+	$(call no_tracker_noise,timeout 600 $(PYTHON) -m pytest tests/fleet -q)
 
 fleet-trace-overhead: ## recorder-on guard: fleet throughput with tracing >= 0.9x tracing-off
 	timeout 600 $(PYTHON) -m repro fleet --trace-overhead-check \

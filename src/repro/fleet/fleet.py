@@ -78,7 +78,7 @@ from repro.obs.tracer import new_span_id, new_trace_id, now_us
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
 from repro.serve.request import OpStage, make_batch_key
 from repro.stream.engine import normalize_chain
-from repro.stream.pool import fork_unavailable_reason
+from repro.stream.pool import fork_unavailable_reason, start_resource_tracker
 from repro.stream.source import as_source
 
 __all__ = ["Fleet", "FleetFuture"]
@@ -329,6 +329,7 @@ class Fleet:
                   self._serve_config_for(worker_id, index),
                   self.ds_config, self.device, self.config.trace),
             name=f"fleet-{worker_id}", daemon=True)
+        start_resource_tracker()
         proc.start()
         handle = _WorkerHandle(worker_id, proc, inbox)
         if not up["event"].wait(timeout=30.0):

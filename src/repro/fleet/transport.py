@@ -2,19 +2,13 @@
 
 Two problems stand between a router process and a worker process:
 
-1. **Op chains are not picklable.**  The predicate ops
-   (``remove_if``, ``partition``, ...) carry
-   :class:`~repro.core.predicates.Predicate` closures, and closures do
-   not pickle.  The factory predicates carry *parseable names*
-   (``"less_than(0.5)"``, ``"not(is_even)"``), so the chain crosses the
-   boundary as data: :func:`freeze_ops` replaces each predicate with a
-   ``["__pred__", name]`` marker and — because a hand-built predicate's
-   name could lie about its behaviour — **probe-verifies** the revived
-   predicate against the original on a fixed probe vector *in the
-   router*, where the original still exists.  An unrevivable or
-   lying predicate is rejected at submit with
-   :class:`~repro.errors.FleetError`; it never reaches a worker.
-   :func:`revive_ops` is the worker-side inverse.
+1. **Op chains are not picklable.**  A chain crosses the boundary as
+   data, with each predicate shipped by its probe-verified name.  The
+   codec (:data:`PROBE`, :func:`freeze_ops`, :func:`revive_ops`) lives
+   in :mod:`repro.stream.codec`, shared with the stream pool, and is
+   re-exported here: the router freezes at submit, so an unrevivable
+   or lying predicate is rejected there with
+   :class:`~repro.errors.FleetError` and never reaches a worker.
 
 2. **Payloads should not copy through a pipe.**  Request arrays move
    as :mod:`multiprocessing.shared_memory` segments via the same
@@ -30,106 +24,16 @@ Two problems stand between a router process and a worker process:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.predicates import Predicate, from_name
-from repro.errors import FleetError
+from repro.stream.codec import PROBE, freeze_ops, revive_ops
 from repro.stream.pool import attach_input, input_descriptor
 from repro.stream.source import MemmapSource, as_source
 
 __all__ = ["freeze_ops", "revive_ops", "stage_payload", "attach_payload",
            "stage_result", "fetch_result", "PROBE"]
-
-#: Fixed probe vector for predicate verification: negatives, zero,
-#: fractions, integer-valued floats — enough to distinguish every
-#: predicate the name vocabulary can express.
-PROBE = np.array([-3.0, -1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.5])
-
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def _freeze_value(value, *, op: str):
-    if isinstance(value, Predicate):
-        revived = from_name(value.name)
-        if revived is None:
-            raise FleetError(
-                f"op {op!r}: predicate {value.name!r} cannot cross the "
-                f"process boundary — its name is outside the "
-                f"repro.core.predicates.from_name vocabulary")
-        if not np.array_equal(value(PROBE), revived(PROBE)):
-            raise FleetError(
-                f"op {op!r}: predicate {value.name!r} failed probe "
-                f"verification — the name does not describe its "
-                f"behaviour, so a revived copy would compute different "
-                f"results")
-        return ["__pred__", value.name]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, _SCALARS):
-        return value
-    raise FleetError(
-        f"op {op!r}: argument {value!r} ({type(value).__name__}) is not "
-        f"transportable to a fleet worker (scalars and named predicates "
-        f"only)")
-
-
-def _revive_value(value):
-    if isinstance(value, list) and len(value) == 2 and value[0] == "__pred__":
-        pred = from_name(value[1])
-        if pred is None:  # the router verified; a miss here is a bug
-            raise FleetError(
-                f"worker could not revive predicate {value[1]!r}")
-        return pred
-    return value
-
-
-def freeze_ops(ops) -> List[list]:
-    """A picklable form of a ``submit_chain`` op spec.
-
-    Accepts the same shapes :meth:`repro.serve.Server.submit_chain`
-    does — each entry a name string or a ``(name, *args[, kwargs])``
-    tuple — and returns nested plain lists with predicates replaced by
-    verified ``["__pred__", name]`` markers.
-    """
-    if isinstance(ops, str):  # a bare op name is a one-op chain
-        ops = [ops]
-    frozen = []
-    for item in ops:
-        if isinstance(item, str):
-            item = (item,)
-        if not item:
-            raise FleetError("empty op spec in chain")
-        name, *args = item
-        kwargs = {}
-        if args and isinstance(args[-1], dict):
-            kwargs = args.pop()
-        entry = [str(name)]
-        entry.extend(_freeze_value(a, op=str(name)) for a in args)
-        if kwargs:
-            entry.append({k: _freeze_value(v, op=str(name))
-                          for k, v in kwargs.items()})
-        frozen.append(entry)
-    if not frozen:
-        raise FleetError("a fleet request needs at least one op")
-    return frozen
-
-
-def revive_ops(frozen: List[list]) -> List[tuple]:
-    """Worker-side inverse of :func:`freeze_ops`."""
-    ops = []
-    for entry in frozen:
-        name, *rest = entry
-        kwargs = None
-        if rest and isinstance(rest[-1], dict):
-            kwargs = rest.pop()
-        parts = [name] + [_revive_value(v) for v in rest]
-        if kwargs:
-            parts.append({k: _revive_value(v) for k, v in kwargs.items()})
-        ops.append(tuple(parts))
-    return ops
-
 
 # -- payloads ------------------------------------------------------------
 

@@ -22,9 +22,10 @@ Public surface:
 * :func:`~repro.stream.engine.stream_run` — stream an op chain over a
   source (the engine behind all three front doors).  One shard loop
   serves both of its modes: shards run in this process, or — with
-  ``workers=N`` — in a forked worker pool over shared-memory NumPy
-  buffers (:mod:`repro.stream.pool`), one shard per task; either way
-  one stitcher publishes them to the ledger and assembles the output;
+  ``workers=N`` — on the process's long-lived worker pool over
+  shared-memory NumPy buffers (:mod:`repro.stream.pool`), one shard
+  per task; either way one stitcher publishes them to the ledger and
+  assembles the output;
 * :func:`~repro.stream.plan.plan_shards` — the sharding planner.
 
 See ``docs/streaming.md`` for the shard protocol and memory model.

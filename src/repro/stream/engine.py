@@ -16,7 +16,7 @@ Execution is bulk-synchronous pseudo-streaming with three stages per
 shard — **load** (``source.read``), **compute** (the DS chain),
 **store** (a pool worker's copy into the shared output region; empty
 in-process, where the output stays where the chain left it).  There is
-one shard loop: a *producer* — the in-process loop or the fork pool
+one shard loop: a *producer* — the in-process loop or the worker pool
 (:mod:`repro.stream.pool`) — hands each finished shard to the stitcher
 as a :class:`ShardDone` record, and the stitcher publishes it to the
 ledger, traces its stages as ``cat="stream"`` spans on track
@@ -62,7 +62,7 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.config import DEFAULT_CONFIG, DSConfig
-from repro.errors import ReproError
+from repro.errors import FleetError, ReproError
 from repro.primitives.common import (
     PrimitiveResult,
     primitive_span,
@@ -346,11 +346,13 @@ def stream_run(
     ``ops`` is a chain spec (see :func:`normalize_chain`); ``source``
     is anything :func:`~repro.stream.source.as_source` accepts.
     ``workers`` defaults to ``config.shard_workers``; ``workers > 0``
-    runs pool-capable chains over more than one shard in that many
-    forked processes (at most one per shard), and anything else in
-    this process.  ``trace`` is an optional distributed trace context
-    (a :class:`~repro.obs.distrib.TraceContext` or its dict form)
-    whose identity every per-shard span carries, so the shards
+    runs pool-capable chains over more than one shard on that many of
+    the process's long-lived pool workers (at most one per shard), and
+    anything else in this process; a pooled chain crosses to the
+    workers as data, so one whose predicate has no revivable name runs
+    here, with a warning.  ``trace`` is an optional distributed trace
+    context (a :class:`~repro.obs.distrib.TraceContext` or its dict
+    form) whose identity every per-shard span carries, so the shards
     correlate with the originating fleet request.  Returns one merged
     :class:`~repro.primitives.common.PrimitiveResult` whose output is
     byte-identical to the monolithic chain, whose counters are the
@@ -370,17 +372,27 @@ def stream_run(
                           row_elems=row_elems) if src.sized else None)
     n_workers = int(workers if workers is not None
                     else config.shard_workers)
+    frozen = None
     if n_workers > 0:
+        from repro.stream.codec import freeze_ops
         from repro.stream.pool import fork_unavailable_reason
 
         block = (pool_restriction(stages, src)
                  or fork_unavailable_reason())
+        if block is None:
+            # Long-lived workers revive the chain from data.
+            try:
+                frozen = freeze_ops([(desc.name, *args, kwargs)
+                                     for desc, args, kwargs in stages],
+                                    numpy_scalars=True)
+            except FleetError as exc:
+                block = str(exc)
         if block is not None:
             warnings.warn(
                 f"stream_run: {block}; falling back to the single-process "
                 f"streaming path", RuntimeWarning, stacklevel=2)
-        # One shard cannot amortize a fork; the in-process loop is
-        # byte-identical.
+        # One shard cannot amortize a hand-off to the pool; the
+        # in-process loop is byte-identical.
         n_workers = (0 if block is not None or len(shards) <= 1
                      else min(n_workers, len(shards)))
     if n_workers:
@@ -388,9 +400,9 @@ def stream_run(
 
         # The pool's shared regions back the records' outputs, so its
         # scope spans the whole stitch.
-        producer = pool_shards(stages, src, shards, stream=stream,
-                               config=config, n_workers=n_workers,
-                               row_elems=row_elems)
+        producer = pool_shards(stages, src, shards, frozen=frozen,
+                               stream=stream, config=config,
+                               n_workers=n_workers, row_elems=row_elems)
     else:
         producer = nullcontext(_local_shards(
             stages, src, shards, stream, config, shard_elems, row_elems))

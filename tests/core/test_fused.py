@@ -3,10 +3,13 @@ constant number of whole-array operations, never a Python loop over
 work-groups.
 
 The guard counts Python and C function calls under ``sys.setprofile``
-rather than timing anything, so it is exact and cannot flake: a launch
-whose grid is 16x larger must make exactly as many calls.
+rather than timing anything, so it is exact: a launch whose grid is 16x
+larger must make exactly as many calls.  The garbage collector stays
+off in the counted window, since a finalizer it runs there (a garbage
+cycle's ``__del__``, say) would be counted too.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -51,11 +54,14 @@ def _calls_made(launch, n_workgroups, device):
             calls += 1
 
     previous = sys.getprofile()
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         launch(buf, stream)
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls
 
 

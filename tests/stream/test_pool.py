@@ -7,16 +7,23 @@ protocol (unique not last, unsized sources, no fork), it must *fall
 back loudly* to the sequential path, never silently corrupt.
 """
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import DSConfig
-from repro.core.predicates import less_than
+from repro import DSConfig, obs
+from repro.core.predicates import Predicate, less_than
+from repro.errors import ReproError
 from repro.stream import MemmapSource, stream_run
 from repro.stream.pool import fork_unavailable_reason
 
@@ -164,3 +171,240 @@ class TestForkSafety:
             holder.join()
             seg.close()
             seg.unlink()
+
+
+# -- the persistent pool ------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+# Runs in a fresh, thread-free interpreter, so its pool starts empty.
+LIFECYCLE = """
+import json, multiprocessing, os, threading
+import numpy as np
+from repro import DSConfig
+from repro.stream import stream_run
+
+forks = []
+os.register_at_fork(
+    after_in_parent=lambda: forks.append(threading.active_count()))
+values = (np.arange(1 << 14) % 5).astype(np.float32)
+config = DSConfig(backend="vectorized", shard_elems=1 << 11)
+chain = [("compact", 0.0), "unique"]
+expected = stream_run(chain, values, config=config, workers=0).output
+threads_before = threading.active_count()
+correct = []
+for _ in range(5):
+    res = stream_run(chain, values, config=config, workers=2)
+    correct.append(bool(np.array_equal(res.output, expected))
+                   and res.extras["n_workers"] == 2)
+workers = {p.pid: p.is_alive() for p in multiprocessing.active_children()}
+psm = {pid: sum("psm_" in line for line in open(f"/proc/{pid}/maps"))
+       for pid in workers}
+
+
+def child(conn):
+    child_forks = []
+    os.register_at_fork(after_in_parent=lambda: child_forks.append(1))
+    res = stream_run(chain, values, config=config, workers=2)
+    conn.send((bool(np.array_equal(res.output, expected)),
+               len(child_forks)))
+
+
+ctx = multiprocessing.get_context("fork")
+parent_end, child_end = ctx.Pipe()
+proc = ctx.Process(target=child, args=(child_end,))
+proc.start()
+child_correct, child_forks = parent_end.recv()
+proc.join()
+again = stream_run(chain, values, config=config, workers=2)
+print(json.dumps({
+    "pool_forks": forks[:2], "threads_before": threads_before,
+    "threads_after": threading.active_count(), "correct": correct,
+    "workers": workers, "psm_maps": psm, "child_correct": child_correct,
+    "child_forks": child_forks,
+    "after_child": {p.pid: p.is_alive()
+                    for p in multiprocessing.active_children()},
+    "again_correct": bool(np.array_equal(again.output, expected)),
+}))
+"""
+
+
+def _python(script: str, **kw) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **kw)
+
+
+@pytest.fixture(scope="module")
+def lifecycle():
+    """One fresh interpreter's report: five ``workers=2`` calls, then a
+    forked child's own pooled call, then one more call of its own."""
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("reads worker mappings from /proc")
+    proc = _python(LIFECYCLE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out.strip().splitlines()[-1])
+
+
+class TestPersistentPool:
+    def test_five_calls_fork_two_workers(self, lifecycle):
+        assert lifecycle["correct"] == [True] * 5
+        assert len(lifecycle["workers"]) == 2
+        assert all(lifecycle["workers"].values())
+
+    def test_the_caller_starts_no_thread(self, lifecycle):
+        assert lifecycle["pool_forks"] == [1, 1]
+        assert lifecycle["threads_after"] == lifecycle["threads_before"]
+
+    def test_an_idle_pool_maps_no_segment(self, lifecycle):
+        assert lifecycle["psm_maps"] == {pid: 0
+                                         for pid in lifecycle["workers"]}
+
+    def test_a_forked_child_forks_its_own_pool(self, lifecycle):
+        assert lifecycle["child_correct"] is True
+        assert lifecycle["child_forks"] == 2
+        # The child never touched its parent's workers.
+        assert lifecycle["after_child"] == lifecycle["workers"]
+        assert lifecycle["again_correct"] is True
+
+    def test_threads_are_not_started_in_process(self, mm):
+        config = _cfg(307)
+        stream_run([("compact", 0.0)], MemmapSource(mm), config=config,
+                   workers=2)
+        before = threading.active_count()
+        for _ in range(3):
+            stream_run([("compact", 0.0)], MemmapSource(mm), config=config,
+                       workers=2)
+        assert threading.active_count() == before
+
+    def test_a_smaller_call_runs_on_a_subset(self, mm):
+        config = _cfg(211)
+        chain = [("compact", 0.0), "unique"]
+        stream_run(chain, MemmapSource(mm), config=config, workers=3)
+        tracer = obs.enable("spans")
+        try:
+            res = stream_run(chain, MemmapSource(mm), config=config,
+                             workers=2)
+        finally:
+            obs.disable()
+        ids = {sp.args["worker"] for track in tracer.tracks
+               if track.startswith("shard:") for sp in tracer.roots(track)}
+        assert res.extras["n_workers"] == 2
+        assert len(ids) == 2
+
+    def test_a_failed_shard_raises_and_the_next_call_is_clean(self, mm):
+        chain = [("compact", 0.0), "unique"]
+        too_wide = DSConfig(backend="vectorized", shard_elems=307,
+                            wg_size=4096)  # above the device's limit
+        with pytest.raises(ReproError, match="shard .* failed"):
+            stream_run(chain, MemmapSource(mm), config=too_wide, workers=2)
+        config = _cfg(307)
+        seq = stream_run(chain, MemmapSource(mm), config=config, workers=0)
+        par = stream_run(chain, MemmapSource(mm), config=config, workers=2)
+        np.testing.assert_array_equal(par.output, seq.output)
+        assert par.extras["n_workers"] == 2
+
+    def test_concurrent_calls_serialize(self, mm):
+        config = _cfg(257)
+        chain = [("compact", 0.0), "unique"]
+        seq = stream_run(chain, MemmapSource(mm), config=config, workers=0)
+        # Grown first, so no thread below forks.
+        stream_run(chain, MemmapSource(mm), config=config, workers=2)
+        results = {}
+
+        def call(i):
+            for _ in range(3):
+                results.setdefault(i, []).append(stream_run(
+                    chain, MemmapSource(mm), config=config, workers=2))
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert sorted(results) == [0, 1]
+        for runs in results.values():
+            for res in runs:
+                np.testing.assert_array_equal(res.output, seq.output)
+                assert res.extras["n_workers"] == 2
+
+    def test_an_unnamed_predicate_streams_in_process(self, mm):
+        config = _cfg(307)
+        chain = [("remove_if", Predicate(lambda v: v < 2, "probe"))]
+        with pytest.warns(RuntimeWarning, match="probe"):
+            par = stream_run(chain, MemmapSource(mm), config=config,
+                             workers=2)
+        seq = stream_run(chain, MemmapSource(mm), config=config, workers=0)
+        np.testing.assert_array_equal(par.output, seq.output)
+        assert par.extras["n_workers"] == 0
+
+    def test_numpy_scalar_arguments_keep_their_type(self):
+        # float32 data compared with np.float64(0.1) is promoted to
+        # float64, so no element matches; compared with the Python
+        # float 0.1 it is not, and a third of them would.
+        values = np.full(3000, np.float32(0.1))
+        values[::3] = 1.0
+        config = _cfg(256)
+        chain = [("compact", np.float64(0.1))]
+        seq = stream_run(chain, values, config=config, workers=0)
+        par = stream_run(chain, values, config=config, workers=2)
+        assert seq.output.size == values.size
+        np.testing.assert_array_equal(par.output, seq.output)
+        assert par.extras["n_workers"] == 2
+
+    def test_workers_run_the_callers_environment(self, mm, monkeypatch):
+        config = DSConfig(wg_size=32, coarsening=2, shard_elems=401)
+        chain = [("compact", 0.0)]
+
+        def launches(res):
+            return [(c.kernel_name, c.bytes_moved, c.transactions,
+                     c.extras.get("vectorized")) for c in res.counters]
+
+        for backend, full in (("vectorized", "0"), ("simulated", "0"),
+                              ("vectorized", "1")):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            monkeypatch.setenv("REPRO_BENCH_FULL", full)
+            par = stream_run(chain, MemmapSource(mm), config=config,
+                             workers=2)
+            seq = stream_run(chain, MemmapSource(mm), config=config,
+                             workers=0)
+            assert launches(par) == launches(seq)
+            np.testing.assert_array_equal(par.output, seq.output)
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("reads worker states from /proc")
+        proc = _python(
+            "import multiprocessing, sys, time\n"
+            "import numpy as np\n"
+            "from repro import DSConfig\n"
+            "from repro.stream import stream_run\n"
+            "stream_run([('compact', 0.0)], np.ones(4096, np.float32),\n"
+            "           config=DSConfig(backend='vectorized',\n"
+            "                           shard_elems=1024), workers=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(60)\n")
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.communicate()
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, pids))
