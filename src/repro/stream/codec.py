@@ -42,7 +42,34 @@ PROBE = np.array([-3.0, -1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.5])
 _SCALARS = (str, int, float, bool, type(None))
 
 
-def _freeze_value(value, *, op: str, numpy_scalars: bool):
+def _dtype_probe(name: str, dtype: np.dtype) -> np.ndarray:
+    """:data:`PROBE` in ``dtype``, plus the name's operand as each float
+    width rounds it and those values' neighbours in ``dtype``.
+
+    A name carries its operand as text: ``equal_to(np.float64(0.1))``
+    revives as ``equal_to(0.1)``, whose Python float compares float32
+    data in float32, while the original compares it in float64.  The
+    two disagree only on data values next to the operand, which is
+    where this probe looks.
+    """
+    try:
+        operands = [float(name[name.rfind("(") + 1:name.find(")")])]
+    except ValueError:  # a nullary predicate
+        operands = []
+    with np.errstate(all="ignore"):
+        probe = np.concatenate(
+            [PROBE] + [np.array(operands, dtype=w)
+                       for w in (np.float16, np.float32, np.float64)]
+        ).astype(dtype)
+        if probe.dtype.kind == "f":
+            return np.concatenate([np.nextafter(probe, -np.inf), probe,
+                                   np.nextafter(probe, np.inf)])
+        if probe.dtype.kind in "iu":
+            return np.concatenate([probe - 1, probe, probe + 1])
+    return probe
+
+
+def _freeze_value(value, *, op: str, numpy_scalars: bool, dtype):
     if isinstance(value, Predicate):
         revived = from_name(value.name)
         if revived is None:
@@ -56,6 +83,18 @@ def _freeze_value(value, *, op: str, numpy_scalars: bool):
                 f"verification — the name does not describe its "
                 f"behaviour, so a revived copy would compute different "
                 f"results")
+        if dtype is not None:
+            try:
+                probe = _dtype_probe(value.name, np.dtype(dtype))
+                same = np.array_equal(value(probe), revived(probe))
+            except Exception:
+                same = False
+            if not same:
+                raise FleetError(
+                    f"op {op!r}: predicate {value.name!r} failed probe "
+                    f"verification over {np.dtype(dtype)} data — its "
+                    f"operand's type does not survive the name, so a "
+                    f"revived copy would compare in another precision")
         return ["__pred__", value.name]
     if isinstance(value, np.generic):
         return value if numpy_scalars else value.item()
@@ -77,7 +116,8 @@ def _revive_value(value):
     return value
 
 
-def freeze_ops(ops, *, numpy_scalars: bool = False) -> List[list]:
+def freeze_ops(ops, *, numpy_scalars: bool = False,
+               dtype=None) -> List[list]:
     """A picklable form of an op-chain spec.
 
     Accepts the shapes :meth:`repro.serve.Server.submit_chain` does —
@@ -88,6 +128,9 @@ def freeze_ops(ops, *, numpy_scalars: bool = False) -> List[list]:
     ``numpy_scalars``: then they cross pickled, keeping their type and
     so the promotion a comparison against them makes (float32 data
     compared with ``np.float64(0.1)`` is not compared with ``0.1``).
+    With ``dtype`` (the data's), each predicate is also verified on a
+    probe in that dtype around its operand, where a revived predicate's
+    Python-float operand can compare differently from a NumPy one.
     """
     if isinstance(ops, str):  # a bare op name is a one-op chain
         ops = [ops]
@@ -103,11 +146,12 @@ def freeze_ops(ops, *, numpy_scalars: bool = False) -> List[list]:
             kwargs = args.pop()
         entry = [str(name)]
         entry.extend(_freeze_value(a, op=str(name),
-                                   numpy_scalars=numpy_scalars)
+                                   numpy_scalars=numpy_scalars, dtype=dtype)
                      for a in args)
         if kwargs:
             entry.append({k: _freeze_value(v, op=str(name),
-                                           numpy_scalars=numpy_scalars)
+                                           numpy_scalars=numpy_scalars,
+                                           dtype=dtype)
                           for k, v in kwargs.items()})
         frozen.append(entry)
     if not frozen:

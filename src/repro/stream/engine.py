@@ -380,11 +380,12 @@ def stream_run(
         block = (pool_restriction(stages, src)
                  or fork_unavailable_reason())
         if block is None:
-            # Long-lived workers revive the chain from data.
+            # Long-lived workers revive the chain from data, which must
+            # compute over this source's dtype what the chain does here.
             try:
                 frozen = freeze_ops([(desc.name, *args, kwargs)
                                      for desc, args, kwargs in stages],
-                                    numpy_scalars=True)
+                                    numpy_scalars=True, dtype=src.dtype)
             except FleetError as exc:
                 block = str(exc)
         if block is not None:

@@ -2,26 +2,33 @@
 
 :func:`pool_shards` is the pooled producer of the streaming engine's
 one shard loop (:func:`~repro.stream.engine.stream_run` with
-``workers > 0``).  A process keeps one pool of forked workers: it
-forks them at its first pooled call, grows to the largest size a call
-asks for, and keeps them until the interpreter exits, so the cores
-stay resident and the data streams through them.  A call runs on the
-first ``n_workers`` of them, feeding each at most two shards at a time
-over its pipe.  A worker reads its input slice directly from the
-source's backing store (a memmap reopened by path, or a
+``workers > 0``).  A process keeps one pool of workers: it forks them
+at its first pooled call, grows to the largest size a call asks for,
+and keeps them until the interpreter exits, so the cores stay resident
+and the data streams through them.  A call runs on the first
+``n_workers`` of them, feeding each at most two shards at a time over
+its pipe.  A worker reads its input slice directly from the source's
+backing store (a memmap reopened by path, or a
 ``multiprocessing.shared_memory`` segment attached by name — in-core
 arrays are staged into a scratch segment first, so **no element data
 ever crosses a pickle boundary**), runs the ordinary DS chain via
 :func:`~repro.stream.engine.run_shard_chain`, and writes the shard's
 output into a shared output region.  When the call ends, every worker
-it used releases that call's segments, so an idle pool maps none.
+it used releases that call's segments, so an idle pool maps none.  A
+worker's first call ends with one more step: the forked worker
+re-executes itself as a fresh interpreter on the same pipe, which
+drops everything the fork copied from its caller — segments and files
+the caller had mapped, its heap, its locks.  The first call runs at
+fork speed; the fresh interpreter's imports run while the caller goes
+on, and the next call waits for them only if it comes sooner.
 
-A worker forked before a call cannot inherit that call's chain, so the
+A worker started before a call cannot inherit that call's chain, so the
 chain crosses as data, frozen by the probe-verified codec of
-:mod:`repro.stream.codec` (the engine runs a chain whose predicate has
-no revivable name in process, with a warning).  The caller's
-configuration crosses with it, resolved against the caller's
-environment: a worker's own environment is the snapshot its fork took.
+:mod:`repro.stream.codec` (the engine runs a chain whose predicate
+cannot be revived to compute the same over the source's dtype in
+process, with a warning).  The caller's configuration crosses with it,
+resolved against the caller's environment: a worker's own environment
+is the snapshot its fork took.
 
 Calls run one at a time per pool; concurrent callers wait their turn.
 A call that fails — a shard raised, a worker died — raises
@@ -55,7 +62,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
+import struct
+import sys
 import threading
 import time
 from collections import deque, namedtuple
@@ -255,14 +265,20 @@ class _Job:
 
 
 def _worker_main(conn, parent_end) -> None:
-    """One pool worker: serve calls until the pool's end of the pipe
-    closes or the process that forked this one is gone."""
+    """A pool worker as forked: it serves its first call at once, on the
+    modules the fork copied, then re-executes itself (:func:`_reexec`)."""
     parent_end.close()
-    # Ctrl-C is for the caller, whose exit ends the workers.
+    # Ctrl-C is for the caller, whose exit ends the workers.  (An
+    # ignored signal stays ignored across the re-exec.)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # The tracer inherited from the fork belongs to the parent; a
-    # long-lived worker must not keep adding spans to a copy of it.
+    # The tracer inherited from the fork belongs to the parent.
     _obs.install(None)
+    _serve(conn, forked=True)
+
+
+def _serve(conn, forked: bool = False) -> None:
+    """Serve calls until the pool's end of the pipe closes or the
+    process that started this one is gone."""
     parent = os.getppid()
     job = None
     while True:
@@ -286,7 +302,52 @@ def _worker_main(conn, parent_end) -> None:
             if job is not None:
                 job.release()
                 job = None
+            if forked:
+                _reexec(conn)  # returns only if the exec failed
+                forked = False
             conn.send(("released",))
+
+
+def _reexec(conn) -> None:
+    """Replace this forked worker with a fresh interpreter serving the
+    same pipe.
+
+    A fork copies its caller whole: every segment and file the caller
+    had mapped, every object holding them, its locks.  A worker that
+    kept the copy would hold a caller's segment mapped long after its
+    owner unlinked it.  So a worker serves only its first call as
+    forked, where the copied modules spare it an import, then sheds the
+    copy here.  The new interpreter writes the ``released`` reply,
+    pre-framed as ``Connection.send`` frames it, before any import, so
+    the copy is gone by the time the caller reads that reply.  It
+    registers the segments it attaches with its caller's resource
+    tracker, as the forked worker did.
+    """
+    from multiprocessing.util import _args_from_interpreter_flags
+
+    if not sys.executable:
+        return
+    reply = pickle.dumps(("released",))
+    frame = struct.pack("!i", len(reply)) + reply
+    fd, tracker_fd = conn.fileno(), resource_tracker.getfd()
+    os.set_inheritable(fd, True)
+    os.set_inheritable(tracker_fd, True)
+    code = (f"import os, sys; os.write({fd}, {frame!r}); "
+            f"sys.path[:] = {sys.path!r}; "
+            f"from repro.stream.pool import _reborn; "
+            f"_reborn({fd}, {tracker_fd})")
+    try:
+        os.execv(sys.executable, [sys.executable,
+                                  *_args_from_interpreter_flags(),
+                                  "-S", "-c", code])
+    except OSError:
+        pass
+
+
+def _reborn(fd: int, tracker_fd: int) -> None:
+    """Entry point of a re-executed worker (see :func:`_reexec`)."""
+    resource_tracker._resource_tracker._fd = tracker_fd
+    _serve(connection.Connection(fd))
 
 
 # -- the pool -----------------------------------------------------------------
@@ -302,10 +363,13 @@ _POOL_LOCK = threading.Lock()
 
 
 def _forget_pool() -> None:
-    """In a freshly forked child: the parent's workers are not ours."""
+    """In a freshly forked child: the parent's workers are not ours.
+    Out of multiprocessing's set of children too, or the child's exit
+    would terminate them and then fail to join them."""
     global _POOL_LOCK
     for w in _POOL:
         w.conn.close()
+        multiprocessing.process._children.discard(w.process)
     _POOL.clear()
     _POOL_LOCK = threading.Lock()
 
@@ -341,27 +405,36 @@ def _discard_pool() -> None:
     _POOL.clear()
 
 
+def _died(w: _Worker) -> ReproError:
+    w.process.join(1.0)
+    return ReproError(f"stream pool worker {w.index} died "
+                      f"(exit code {w.process.exitcode})")
+
+
+def _send(w: _Worker, msg: tuple) -> None:
+    try:
+        w.conn.send(msg)
+    except OSError:
+        raise _died(w) from None
+
+
 def _next_message(workers: List[_Worker]) -> Tuple[_Worker, tuple]:
     """The next reply from any of ``workers``; a worker that died
-    raises :class:`ReproError`."""
-    ready = connection.wait([w.conn for w in workers]
-                            + [w.process.sentinel for w in workers])
-    for w in workers:
-        if w.conn in ready:
-            try:
-                return w, w.conn.recv()
-            except EOFError:
-                pass
-        if w.conn in ready or w.process.sentinel in ready:
-            raise ReproError(f"stream pool worker {w.index} died "
-                             f"(exit code {w.process.exitcode})")
+    raises :class:`ReproError`.  (Its pipe is the witness: a worker
+    holds the only other end, and a re-exec keeps it open.)"""
+    ready = connection.wait([w.conn for w in workers])
+    w = next(w for w in workers if w.conn in ready)
+    try:
+        return w, w.conn.recv()
+    except (EOFError, OSError):
+        raise _died(w) from None
 
 
 def _release(workers: List[_Worker]) -> None:
     """End the call on each worker and wait until it unmapped the
     call's segments."""
     for w in workers:
-        w.conn.send(("end",))
+        _send(w, ("end",))
     for w in workers:
         while _next_message([w])[1][0] != "released":
             pass
@@ -403,7 +476,7 @@ def pool_shards(stages, source: DSSource, shards: List[Shard], *,
             job = ("job", frozen, in_desc, out_shm.name, str(out_dtype),
                    row_elems, config, stream.device, env)
             for w in workers:
-                w.conn.send(job)
+                _send(w, job)
             last = len(stages) - 1
             final_unique = (last if STREAMABLE_OPS[stages[last][0].name]
                             == "unique" else None)
@@ -437,7 +510,7 @@ def _records(workers: List[_Worker], shards: List[Shard],
 
     def feed(w: _Worker) -> None:
         s = todo.popleft()
-        w.conn.send(("shard", s.index, s.lo, s.hi, out_offsets[s.index]))
+        _send(w, ("shard", s.index, s.lo, s.hi, out_offsets[s.index]))
 
     for _ in range(_IN_FLIGHT):
         for w in workers:

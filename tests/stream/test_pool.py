@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import DSConfig, obs
-from repro.core.predicates import Predicate, less_than
+from repro.core.predicates import Predicate, equal_to, less_than
 from repro.errors import ReproError
 from repro.stream import MemmapSource, stream_run
 from repro.stream.pool import fork_unavailable_reason
@@ -178,11 +178,14 @@ class TestForkSafety:
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 # Runs in a fresh, thread-free interpreter, so its pool starts empty.
+# Its first pooled call streams a segment and a memmap the caller mapped
+# before any worker existed; both are gone from the caller afterwards.
 LIFECYCLE = """
-import json, multiprocessing, os, threading
+import gc, json, multiprocessing, os, sys, threading
 import numpy as np
+from multiprocessing import shared_memory
 from repro import DSConfig
-from repro.stream import stream_run
+from repro.stream import MemmapSource, SharedMemorySource, stream_run
 
 forks = []
 os.register_at_fork(
@@ -191,15 +194,29 @@ values = (np.arange(1 << 14) % 5).astype(np.float32)
 config = DSConfig(backend="vectorized", shard_elems=1 << 11)
 chain = [("compact", 0.0), "unique"]
 expected = stream_run(chain, values, config=config, workers=0).output
+seg = shared_memory.SharedMemory(create=True, size=values.nbytes)
+path = sys.argv[1]
+values.tofile(path)
+sources = [SharedMemorySource(seg, dtype=values.dtype),
+           MemmapSource(np.memmap(path, dtype=values.dtype, mode="r"))]
+sources[0].read(0, values.size)[:] = values
 threads_before = threading.active_count()
 correct = []
-for _ in range(5):
-    res = stream_run(chain, values, config=config, workers=2)
+for i in range(5):
+    res = stream_run(chain, sources[i] if i < 2 else values, config=config,
+                     workers=2)
     correct.append(bool(np.array_equal(res.output, expected))
                    and res.extras["n_workers"] == 2)
+pool_forks = len(forks)
+del sources, res
+gc.collect()
+seg.close()
+seg.unlink()
+os.unlink(path)
 workers = {p.pid: p.is_alive() for p in multiprocessing.active_children()}
-psm = {pid: sum("psm_" in line for line in open(f"/proc/{pid}/maps"))
-       for pid in workers}
+maps = {pid: open(f"/proc/{pid}/maps").read() for pid in workers}
+psm = {pid: text.count("psm_") for pid, text in maps.items()}
+held = {pid: path in text for pid, text in maps.items()}
 
 
 def child(conn):
@@ -216,35 +233,49 @@ proc = ctx.Process(target=child, args=(child_end,))
 proc.start()
 child_correct, child_forks = parent_end.recv()
 proc.join()
-again = stream_run(chain, values, config=config, workers=2)
+after_child = {p.pid: p.is_alive() for p in multiprocessing.active_children()}
+# A plain fork whose child exits through the interpreter's exit handlers.
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)
+os.waitpid(pid, 0)
+try:
+    again = stream_run(chain, values, config=config, workers=2).output
+except Exception as exc:
+    again = repr(exc)
 print(json.dumps({
-    "pool_forks": forks[:2], "threads_before": threads_before,
+    "pool_forks": pool_forks, "fork_threads": forks[:2],
+    "threads_before": threads_before,
     "threads_after": threading.active_count(), "correct": correct,
-    "workers": workers, "psm_maps": psm, "child_correct": child_correct,
-    "child_forks": child_forks,
-    "after_child": {p.pid: p.is_alive()
-                    for p in multiprocessing.active_children()},
-    "again_correct": bool(np.array_equal(again.output, expected)),
+    "workers": workers, "psm_maps": psm, "memmap_held": held,
+    "child_correct": child_correct, "child_forks": child_forks,
+    "after_child": after_child,
+    "again_correct": (again if isinstance(again, str)
+                      else bool(np.array_equal(again, expected))),
+    "again_workers": {p.pid: p.is_alive()
+                      for p in multiprocessing.active_children()},
 }))
 """
 
 
-def _python(script: str, **kw) -> subprocess.Popen:
+def _python(script: str, *args: str, **kw) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, "-c", script], env=env,
+    return subprocess.Popen([sys.executable, "-c", script, *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, **kw)
 
 
 @pytest.fixture(scope="module")
-def lifecycle():
+def lifecycle(tmp_path_factory):
     """One fresh interpreter's report: five ``workers=2`` calls, then a
-    forked child's own pooled call, then one more call of its own."""
+    forked child's own pooled call, then a plain ``os.fork`` child's
+    exit, then one more call of its own."""
     if not os.path.isdir("/proc/self"):
         pytest.skip("reads worker mappings from /proc")
-    proc = _python(LIFECYCLE)
+    path = tmp_path_factory.mktemp("lifecycle") / "first_call.f32"
+    proc = _python(LIFECYCLE, str(path))
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     return json.loads(out.strip().splitlines()[-1])
@@ -253,23 +284,31 @@ def lifecycle():
 class TestPersistentPool:
     def test_five_calls_fork_two_workers(self, lifecycle):
         assert lifecycle["correct"] == [True] * 5
+        assert lifecycle["pool_forks"] == 2
         assert len(lifecycle["workers"]) == 2
         assert all(lifecycle["workers"].values())
 
     def test_the_caller_starts_no_thread(self, lifecycle):
-        assert lifecycle["pool_forks"] == [1, 1]
+        assert lifecycle["fork_threads"] == [1, 1]
         assert lifecycle["threads_after"] == lifecycle["threads_before"]
 
     def test_an_idle_pool_maps_no_segment(self, lifecycle):
+        # Not even the segment and the file the caller had mapped when
+        # the workers were forked, once the caller let them go.
         assert lifecycle["psm_maps"] == {pid: 0
                                          for pid in lifecycle["workers"]}
+        assert lifecycle["memmap_held"] == {pid: False
+                                            for pid in lifecycle["workers"]}
 
     def test_a_forked_child_forks_its_own_pool(self, lifecycle):
         assert lifecycle["child_correct"] is True
         assert lifecycle["child_forks"] == 2
         # The child never touched its parent's workers.
         assert lifecycle["after_child"] == lifecycle["workers"]
+
+    def test_a_plain_fork_child_leaves_the_workers_alone(self, lifecycle):
         assert lifecycle["again_correct"] is True
+        assert lifecycle["again_workers"] == lifecycle["workers"]
 
     def test_threads_are_not_started_in_process(self, mm):
         config = _cfg(307)
@@ -356,6 +395,24 @@ class TestPersistentPool:
         assert seq.output.size == values.size
         np.testing.assert_array_equal(par.output, seq.output)
         assert par.extras["n_workers"] == 2
+
+    @pytest.mark.parametrize("pred, value", [
+        (equal_to(np.float64(0.1)), 0.1),
+        (less_than(np.float64(0.7)), 0.7),
+    ])
+    def test_a_numpy_operand_the_name_loses_streams_in_process(
+            self, pred, value):
+        # The original compares float32 data in float64; revived from
+        # its name, the operand is a Python float compared in float32.
+        values = np.full(3000, np.float32(value))
+        values[::3] = 1.0
+        config = _cfg(256)
+        chain = [("remove_if", pred)]
+        seq = stream_run(chain, values, config=config, workers=0)
+        with pytest.warns(RuntimeWarning, match="float32"):
+            par = stream_run(chain, values, config=config, workers=2)
+        np.testing.assert_array_equal(par.output, seq.output)
+        assert par.extras["n_workers"] == 0
 
     def test_workers_run_the_callers_environment(self, mm, monkeypatch):
         config = DSConfig(wg_size=32, coarsening=2, shard_elems=401)
