@@ -52,7 +52,7 @@ def _dtype_probe(name: str, dtype: np.dtype) -> np.ndarray:
     two disagree only on data values next to the operand, which is
     where this probe looks.
     """
-    try:
+    try:  # the innermost parenthesized text: "0.1" in "not(equal_to(0.1))"
         operands = [float(name[name.rfind("(") + 1:name.find(")")])]
     except ValueError:  # a nullary predicate
         operands = []
@@ -87,7 +87,7 @@ def _freeze_value(value, *, op: str, numpy_scalars: bool, dtype):
             try:
                 probe = _dtype_probe(value.name, np.dtype(dtype))
                 same = np.array_equal(value(probe), revived(probe))
-            except Exception:
+            except Exception:  # one that fails on the probe cannot cross
                 same = False
             if not same:
                 raise FleetError(
