@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import DSConfig, obs
-from repro.core.predicates import Predicate, equal_to, less_than
+from repro import DSConfig
+from repro import obs
+from repro.core.predicates import less_than
+from repro.core.predicates import Predicate, equal_to
 from repro.errors import ReproError
 from repro.stream import MemmapSource, stream_run
 from repro.stream.pool import fork_unavailable_reason
